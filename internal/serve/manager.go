@@ -437,8 +437,16 @@ func (m *Manager) Submit(spec leonardo.RunSpec) (Info, error) {
 	m.runs[r.id] = r
 	m.order = append(m.order, r.id)
 	m.queue = append(m.queue, r)
-	m.persistMetaLocked(r)
+	// A run that dispatches at once is persisted once, as running; one
+	// left waiting is persisted as queued. Either way the meta is on
+	// disk before Submit returns.
 	m.dispatchLocked()
+	r.mu.Lock()
+	queued := r.state == StateQueued
+	r.mu.Unlock()
+	if queued {
+		m.persistMetaLocked(r)
+	}
 	return r.info(), nil
 }
 
@@ -465,11 +473,15 @@ func (m *Manager) dispatchLocked() {
 
 // drive executes one run to completion (or cancellation) on its worker
 // slot, writes the final checkpoint, classifies the outcome, and frees
-// the slot.
+// the slot. A run that finished right after a durable checkpoint skips
+// the final one: nothing has stepped since, so it would store the same
+// bytes again.
 func (m *Manager) drive(ctx context.Context, r *run) {
 	defer m.wg.Done()
-	err := m.runLoop(ctx, r)
-	m.checkpoint(r)
+	saved, err := m.runLoop(ctx, r)
+	if err != nil || !saved {
+		m.checkpoint(r)
+	}
 
 	var final State
 	switch {
@@ -511,17 +523,23 @@ func (m *Manager) drive(ctx context.Context, r *run) {
 
 // runLoop steps the run in checkpoint strides until it finishes or its
 // context ends. Cancellation lands at the next generation boundary:
-// engine.Steps consults ctx before every step.
+// engine.Steps consults ctx before every step. saved reports whether
+// the run's current state is already its durable checkpoint: after a
+// stride whose checkpoint landed, or, before any stride, when the run
+// was resumed from one.
 //
 //leo:longloop
-func (m *Manager) runLoop(ctx context.Context, r *run) error {
+func (m *Manager) runLoop(ctx context.Context, r *run) (saved bool, err error) {
+	r.mu.Lock()
+	saved = r.snap != nil
+	r.mu.Unlock()
 	for !r.runner.Done() {
 		if err := engine.Steps(ctx, r.runner, r, m.cfg.SnapshotEvery); err != nil {
-			return err
+			return false, err
 		}
-		m.checkpoint(r)
+		saved = m.checkpoint(r)
 	}
-	return nil
+	return saved, nil
 }
 
 // checkpoint serializes the run (safe here: the engine is between
@@ -530,8 +548,9 @@ func (m *Manager) runLoop(ctx context.Context, r *run) error {
 // atomic spool write succeeds, so the endpoint never hands out a
 // checkpoint that is not also durable: "latest snapshot" and "what a
 // restart resumes from" are always the same bytes. Without a spool the
-// in-memory copy is all there is and publishes immediately.
-func (m *Manager) checkpoint(r *run) {
+// in-memory copy is all there is and publishes immediately. It
+// reports whether the checkpoint landed.
+func (m *Manager) checkpoint(r *run) bool {
 	snap := r.runner.Snapshot()
 	h := store.HashOf(snap)
 	if m.sp != nil {
@@ -539,7 +558,7 @@ func (m *Manager) checkpoint(r *run) {
 		sh, err := m.sp.saveSnap(r.id, snap)
 		if err != nil {
 			m.cfg.Logf("serve: %s checkpoint: %v", r.id, err)
-			return // keep serving the previous durable checkpoint
+			return false // keep serving the previous durable checkpoint
 		}
 		h = sh
 		m.met.snapshotObserved(len(snap), now().Sub(t0))
@@ -556,6 +575,7 @@ func (m *Manager) checkpoint(r *run) {
 			m.cluster.prune(r.spec.Name, ep.Epoch())
 		}
 	}
+	return true
 }
 
 // persistMetaLocked writes the registry entry to the spool; m.mu held.

@@ -1,7 +1,11 @@
 package serve_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -210,5 +214,106 @@ func TestReloadStaleMetaMissingSnap(t *testing.T) {
 	})
 	if st := stateOf(t, m2, info.ID); st != serve.StateCancelled {
 		t.Fatalf("rebuilt run ended %s, want cancelled", st)
+	}
+}
+
+// TestSubmitToFreeWorkerWritesOneMeta: a run admitted straight to a
+// free worker is on disk, as running, when Submit returns — one valid
+// .meta.json and nothing else in the spool. A crash right then (the
+// spool copied before any checkpoint) reloads the run from its spec and
+// drives it to the uninterrupted trajectory.
+func TestSubmitToFreeWorkerWritesOneMeta(t *testing.T) {
+	dir := t.TempDir()
+	m, err := serve.New(serve.Config{Spool: dir, Workers: 1, SnapshotEvery: 1_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := leonardo.RunSpec{Kind: leonardo.KindGAP, Seed: 5, Steps: 7, MaxGenerations: 3000}
+	info, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.State != serve.StateRunning {
+		t.Fatalf("run admitted to a free worker is %s, want running", info.State)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metas []string
+	for _, e := range entries {
+		if e.Name() != "store" {
+			metas = append(metas, e.Name())
+		}
+	}
+	if len(metas) != 1 || metas[0] != info.ID+".meta.json" {
+		t.Fatalf("spool after Submit holds %v, want exactly %s.meta.json", metas, info.ID)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, metas[0]))
+	m.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mt struct {
+		ID    string      `json:"id"`
+		State serve.State `json:"state"`
+	}
+	if err := json.Unmarshal(data, &mt); err != nil || mt.ID != info.ID || mt.State != serve.StateRunning {
+		t.Fatalf("meta after Submit = %+v (%v), want %s running", mt, err, info.ID)
+	}
+
+	crashed := t.TempDir()
+	if err := os.WriteFile(filepath.Join(crashed, metas[0]), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := serve.New(serve.Config{Spool: crashed, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	waitFor(t, 30*time.Second, "reloaded run to finish", func() bool {
+		return stateOf(t, m2, info.ID).Terminal()
+	})
+	if st := stateOf(t, m2, info.ID); st != serve.StateDone {
+		t.Fatalf("reloaded run ended %s, want done", st)
+	}
+	snap, err := m2.Snapshot(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, runRef(t, spec)) {
+		t.Fatal("reloaded run's final snapshot differs from the uninterrupted reference")
+	}
+}
+
+// TestFinishedRunSkipsDuplicateCheckpoint: a run that finishes on a
+// stride boundary was checkpointed by that stride; the driver writes no
+// second, identical checkpoint, and the served snapshot is unchanged.
+func TestFinishedRunSkipsDuplicateCheckpoint(t *testing.T) {
+	m, err := serve.New(serve.Config{Spool: t.TempDir(), Workers: 1, SnapshotEvery: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	spec := leonardo.RunSpec{Kind: leonardo.KindGAP, Seed: 4, Steps: 7, MaxGenerations: 200}
+	info, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 30*time.Second, "run to finish", func() bool {
+		return stateOf(t, m, info.ID).Terminal()
+	})
+	var buf bytes.Buffer
+	m.WriteMetrics(&buf)
+	const want = "leonardod_snapshot_latency_seconds_count 4\n" // generations 50, 100, 150, 200
+	if !strings.Contains(buf.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, buf.String())
+	}
+	snap, err := m.Snapshot(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, runRef(t, spec)) {
+		t.Fatal("final snapshot differs from the uninterrupted reference")
 	}
 }

@@ -4,7 +4,9 @@
 // blobs named by their SHA-256:
 //
 //	<dir>/objects/<hh>/<hex>   one file per object, hh = hex[0:2]
-//	<dir>/index.json           name → hash links, written atomically
+//	<dir>/index.json           compacted base: name → hash, sorted JSON
+//	<dir>/index.log            journal: one checksummed record per
+//	                           Link or Unlink since the base
 //
 // The object namespace is append-only and self-verifying — Get rehashes
 // what it reads, so a corrupt or truncated object can never be served
@@ -13,13 +15,31 @@
 // pointing at whichever object currently backs it. Identical payloads
 // dedup to one object however many links they have.
 //
+// The index is the base with the journal replayed over it in order.
+// Link and Unlink append one record and fsync the journal before they
+// return, so a mutation costs the same however many names the index
+// holds. When the journal reaches 1024 records and twice the live name
+// count, the next mutation first compacts: it writes the state the
+// journal describes as the new base (temp, sync, rename, directory
+// sync), cuts the journal, and only then appends its own record. Every
+// record is an absolute name → hash assignment, so a crash between the
+// rename and the cut replays records the base already holds and lands
+// on the same state. Open replays at most max(1024, 2·live) records and
+// stays O(live names). A torn final record (no newline) was never
+// acknowledged; Open drops it and truncates it away. A complete record
+// that fails its checksum is corruption, and Open refuses it as it
+// refuses a corrupt base. A binary built before the journal existed
+// reads index.json alone: it would ignore index.log, and its Open-time
+// GC would reap the objects linked only there.
+//
 // Garbage collection is ref-counted from the index. Relinking a name
 // drops the previous object as soon as its last link goes; a crash
 // between an object write and its index link leaves an orphan, which
 // the next GC (run at every Open) reaps. The write order makes every
-// crash window safe: object bytes land and sync before the index names
-// them, and the index forgets an object before its file is unlinked, so
-// the index never points at bytes that do not exist.
+// crash window safe: object bytes and their directory entry land and
+// sync before a record names them, and a record forgets an object
+// before its file is unlinked, so the index never points at bytes that
+// do not exist.
 //
 // The store never reads clocks or draws randomness, and every listing
 // it returns is sorted; it is safe to call from replay-critical code.
@@ -30,9 +50,9 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -73,19 +93,24 @@ func ParseHex(s string) (Hash, error) {
 
 // Store is the handle on one artifact directory. All methods are safe
 // for concurrent use; index mutations serialize on one mutex and each
-// is durable (written and renamed) before the method returns.
+// is durable (its journal record written and synced) before the method
+// returns.
 type Store struct {
 	dir string
 
-	mu    sync.Mutex
-	names map[string]Hash // the index: logical name → object
-	refs  map[Hash]int    // links per object, derived from names
+	mu       sync.Mutex
+	names    map[string]Hash // the index: logical name → object
+	refs     map[Hash]int    // links per object, derived from names
+	logSize  int64           // bytes of whole records in index.log
+	records  int             // whole records in index.log
+	logDirty bool            // a failed append may have left bytes past logSize
 }
 
-// Open creates (or reopens) a store rooted at dir, loads the index,
-// and reaps any orphaned objects a previous crash left behind. An
-// unreadable index is a hard error — refusing to boot beats silently
-// garbage-collecting every artifact the lost index still named.
+// Open creates (or reopens) a store rooted at dir, loads the base index
+// and replays its journal, and reaps any orphaned objects a previous
+// crash left behind. An unreadable base or a corrupt journal record is
+// a hard error — refusing to boot beats silently garbage-collecting
+// every artifact the lost index still named.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -95,40 +120,20 @@ func Open(dir string) (*Store, error) {
 		names: make(map[string]Hash),
 		refs:  make(map[Hash]int),
 	}
-	data, err := os.ReadFile(s.indexPath())
-	switch {
-	case os.IsNotExist(err):
-		// Fresh store.
-	case err != nil:
-		return nil, fmt.Errorf("store: index: %w", err)
-	default:
-		var wire map[string]string
-		if err := json.Unmarshal(data, &wire); err != nil {
-			return nil, fmt.Errorf("store: index: %w", err)
-		}
-		// Validate in sorted order so a corrupt index always reports the
-		// same (first) offending entry, not a map-order-dependent one.
-		names := make([]string, 0, len(wire))
-		for name := range wire {
-			names = append(names, name) //leo:allow maprange keys are collected then sorted; the load order is the sort
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			h, err := ParseHex(wire[name])
-			if err != nil {
-				return nil, fmt.Errorf("store: index entry %q: %w", name, err)
-			}
-			s.names[name] = h
-			s.refs[h]++
-		}
+	if err := s.loadBase(); err != nil {
+		return nil, err
+	}
+	if err := s.replayLog(); err != nil {
+		return nil, err
+	}
+	for _, h := range s.names {
+		s.refs[h]++
 	}
 	if _, err := s.GC(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
-
-func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
 
 // objectPath shards objects by the first hex byte so no single
 // directory grows unbounded.
@@ -141,16 +146,24 @@ func (s *Store) objectPath(h Hash) string {
 // idempotent — an object that already exists is not rewritten — and
 // atomic: the bytes land in a temp file, sync, and rename onto the
 // final name, so a reader or a crash never observes a partial object.
+// The shard directory is synced after the rename, so the object's
+// entry is durable before any journal record can name it.
 func (s *Store) Put(data []byte) (Hash, error) {
 	h := HashOf(data)
 	path := s.objectPath(h)
 	if _, err := os.Stat(path); err == nil {
 		return h, nil // dedup: content addressing makes equality free
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	shard := filepath.Dir(path)
+	if err := os.Mkdir(shard, 0o755); err == nil {
+		// A new shard's own entry must be durable before its objects'.
+		if err := syncDir(filepath.Dir(shard)); err != nil {
+			return Hash{}, fmt.Errorf("store: put: %w", err)
+		}
+	} else if !errors.Is(err, fs.ErrExist) {
 		return Hash{}, fmt.Errorf("store: put: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	tmp, err := os.CreateTemp(shard, ".tmp-*")
 	if err != nil {
 		return Hash{}, fmt.Errorf("store: put: %w", err)
 	}
@@ -163,6 +176,9 @@ func (s *Store) Put(data []byte) (Hash, error) {
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
+		return Hash{}, fmt.Errorf("store: put: %w", err)
+	}
+	if err := syncDir(shard); err != nil {
 		return Hash{}, fmt.Errorf("store: put: %w", err)
 	}
 	return h, nil
@@ -191,45 +207,32 @@ func (s *Store) Has(h Hash) bool {
 }
 
 // Link points a logical name at an object, replacing any previous
-// target. The index write is atomic and durable before Link returns;
-// if the replaced object just lost its last link, its file is removed
+// target. Its journal record is durable before Link returns; if the
+// replaced object just lost its last link, its file is removed
 // afterwards (a crash in between leaves an orphan for GC, never a
 // dangling link).
 func (s *Store) Link(name string, h Hash) error {
 	if name == "" {
 		return errors.New("store: empty link name")
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Checked under the lock: a concurrent unref cannot delete the
+	// object between the check and the record.
 	if !s.Has(h) {
 		return fmt.Errorf("store: link %s: object %s: %w", name, h.Hex(), ErrNotFound)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	prev, had := s.names[name]
 	if had && prev == h {
 		return nil
 	}
+	if err := s.logLocked(record(name, h, true)); err != nil {
+		return err
+	}
 	s.names[name] = h
 	s.refs[h]++
 	if had {
-		s.dropRefLocked(prev)
-	}
-	if err := s.writeIndexLocked(); err != nil {
-		// Roll the in-memory index back so memory and disk agree.
-		if had {
-			s.names[name] = prev
-			s.refs[prev]++
-		} else {
-			delete(s.names, name)
-		}
-		s.refs[h]--
-		if s.refs[h] == 0 {
-			delete(s.refs, h)
-		}
-		return err
-	}
-	if had && s.refs[prev] == 0 {
-		delete(s.refs, prev)
-		os.Remove(s.objectPath(prev)) // best-effort; GC reaps stragglers
+		s.unrefLocked(prev)
 	}
 	return nil
 }
@@ -243,23 +246,24 @@ func (s *Store) Unlink(name string) error {
 	if !ok {
 		return fmt.Errorf("store: link %s: %w", name, ErrNotFound)
 	}
-	delete(s.names, name)
-	s.dropRefLocked(h)
-	if err := s.writeIndexLocked(); err != nil {
-		s.names[name] = h
-		s.refs[h]++
+	if err := s.logLocked(record(name, Hash{}, false)); err != nil {
 		return err
 	}
-	if s.refs[h] == 0 {
-		delete(s.refs, h)
-		os.Remove(s.objectPath(h))
-	}
+	delete(s.names, name)
+	s.unrefLocked(h)
 	return nil
 }
 
-// dropRefLocked decrements without deleting at zero — deletion happens
-// only after the index that stopped referencing the object is durable.
-func (s *Store) dropRefLocked(h Hash) { s.refs[h]-- }
+// unrefLocked drops one link to h and removes the object once none
+// remain. Callers run it only after the record that dropped the link is
+// durable.
+func (s *Store) unrefLocked(h Hash) {
+	s.refs[h]--
+	if s.refs[h] == 0 {
+		delete(s.refs, h)
+		os.Remove(s.objectPath(h)) // best-effort; GC reaps stragglers
+	}
+}
 
 // Resolve returns the object a name currently links to.
 func (s *Store) Resolve(name string) (Hash, bool) {
@@ -334,35 +338,4 @@ func (s *Store) GC() (removed int, err error) {
 		}
 	}
 	return removed, nil
-}
-
-// writeIndexLocked persists the name → hash map atomically: temp file,
-// sync, rename. JSON with sorted keys (encoding/json sorts string-keyed
-// maps) keeps the file diffable and its bytes a pure function of the
-// index contents.
-func (s *Store) writeIndexLocked() error {
-	wire := make(map[string]string, len(s.names))
-	for name, h := range s.names {
-		wire[name] = h.Hex()
-	}
-	data, err := json.MarshalIndent(wire, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: index: %w", err)
-	}
-	tmp, err := os.CreateTemp(s.dir, ".index-*")
-	if err != nil {
-		return fmt.Errorf("store: index: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: index: %w", errors.Join(werr, serr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), s.indexPath()); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("store: index: %w", err)
-	}
-	return nil
 }
