@@ -49,9 +49,9 @@ func BenchmarkFitnessScore(b *testing.B) {
 	}
 }
 
-// BenchmarkFitnessScoreViaExtended measures the general-layout path
-// (unpack to Extended, then ScoreExtended) — the seed implementation
-// of Score and the slow path kept for non-paper layouts.
+// BenchmarkFitnessScoreViaExtended measures the any-layout path on
+// paper genomes: unpack to Extended, then the word-level ScoreExtended
+// that every non-paper layout runs.
 func BenchmarkFitnessScoreViaExtended(b *testing.B) {
 	e := fitness.New()
 	gs := benchGenomes()

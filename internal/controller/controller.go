@@ -124,8 +124,17 @@ func (c *Controller) Posture() Posture { return c.posture.Clone() }
 
 // Advance applies the current phase's micro-movement to every leg and
 // moves to the next phase (wrapping at the end of the gait cycle). It
-// returns the posture commanded during the phase just executed.
-func (c *Controller) Advance() Posture {
+// returns the posture commanded during the phase just executed (a
+// copy).
+func (c *Controller) Advance() Posture { return c.AdvanceShared().Clone() }
+
+// AdvanceShared is Advance without the copy: the returned posture
+// shares the controller's own slices, so the next Advance changes it.
+// It allocates nothing, which keeps a simulated trial's allocations
+// independent of its length (robot.Robot.Step reads it once per phase).
+//
+//leo:hotpath
+func (c *Controller) AdvanceShared() Posture {
 	step, move := c.Step(), c.Move()
 	for leg := 0; leg < c.x.Layout.Legs; leg++ {
 		g := c.x.Gene(step, leg)
@@ -139,7 +148,7 @@ func (c *Controller) Advance() Posture {
 		}
 	}
 	c.phase = (c.phase + 1) % (c.x.Layout.Steps * MovesPerStep)
-	return c.posture.Clone()
+	return c.posture
 }
 
 // CyclePhases returns the number of phases in a full gait cycle.

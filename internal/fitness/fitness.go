@@ -26,6 +26,7 @@ package fitness
 
 import (
 	"fmt"
+	"math/bits"
 
 	"leonardo/internal/genome"
 )
@@ -72,9 +73,9 @@ func New() Evaluator {
 }
 
 // Score evaluates a packed 36-bit genome. It requires the paper
-// layout. This is the allocation-free fast path (precomputed lookup
+// layout. This is the allocation-free packed path (precomputed lookup
 // tables over the packed bits, see lut.go); ScoreExtended is the
-// general-layout slow path, and the two agree bit for bit (proved by
+// any-layout word kernel, and the two agree bit for bit (proved by
 // property test).
 //
 //leo:hotpath
@@ -97,7 +98,10 @@ func (e Evaluator) Breakdown(g genome.Genome) Breakdown {
 	return e.breakdownPacked(g)
 }
 
-// ScoreExtended evaluates a genome of any layout.
+// ScoreExtended evaluates a genome of any layout, allocation-free
+// like Score (see BreakdownExtended).
+//
+//leo:hotpath
 func (e Evaluator) ScoreExtended(x genome.Extended) int {
 	b := e.BreakdownExtended(x)
 	return e.Weights.Equilibrium*b.Equilibrium +
@@ -159,7 +163,14 @@ func symmetryPairs(steps int) int {
 }
 
 // BreakdownExtended evaluates a genome of any layout with per-rule
-// detail.
+// detail. It is the word-level kernel behind every non-paper layout:
+// a step's genes are read straight from the bit string in windows of
+// up to 21 genes (63 bits, which may straddle two words), and each
+// rule is a mask and a popcount over the window rather than a decode
+// per gene. Nothing limits the layout: a step longer than one window
+// takes several.
+//
+//leo:hotpath
 func (e Evaluator) BreakdownExtended(x genome.Extended) Breakdown {
 	if x.Layout != e.Layout {
 		panic(fmt.Sprintf("fitness: genome layout %+v does not match evaluator layout %+v",
@@ -167,60 +178,68 @@ func (e Evaluator) BreakdownExtended(x genome.Extended) Breakdown {
 	}
 	b := e.maxima()
 	steps, legs := e.Layout.Steps, e.Layout.Legs
-	nl := leftLegs(legs)
-
-	// Rule 1 — equilibrium. The leg's elevation during a step has two
-	// stable phases: after the first vertical move (and throughout the
-	// horizontal move), and after the final vertical move. In each
-	// phase, on each (3+ legged) side, at most two legs may be raised.
+	nl, nr := leftLegs(legs), legs-leftLegs(legs)
+	stride := legs * genome.BitsPerLegStep
+	// Every step pairs with the one before it for the symmetry rule,
+	// cyclically: past two steps the first step pairs with the last
+	// (symmetryPairs; with two steps, that pair is the one step 1
+	// already counts, and one step has none).
+	cyclic := steps > 2
 	for s := 0; s < steps; s++ {
-		for phase := 0; phase < 2; phase++ {
-			raised := func(leg int) bool {
-				g := x.Gene(s, leg)
-				if phase == 0 {
-					return g.RaiseFirst
-				}
-				return g.RaiseAfter
+		at, prev := s*stride, (s+steps-1)%steps*stride
+		// raised[phase][side] counts the raised legs of each side after
+		// the step's first vertical move (RaiseFirst, gene bit 0, held
+		// through the horizontal move) and after its final one
+		// (RaiseAfter, gene bit 2).
+		var raised [2][2]int
+		for lo := 0; lo < legs; lo += windowGenes {
+			m := min(legs-lo, windowGenes)
+			off, w := lo*genome.BitsPerLegStep, m*genome.BitsPerLegStep
+			v := x.Bits.Field(at+off, w)
+			// The window's genes of legs below nl are on the left side.
+			left := geneLow & lowBits(max(0, min(nl-lo, m))*genome.BitsPerLegStep)
+			right := geneLow & lowBits(w) &^ left
+			raised[0][0] += bits.OnesCount64(v & left)
+			raised[0][1] += bits.OnesCount64(v & right)
+			raised[1][0] += bits.OnesCount64(v >> 2 & left)
+			raised[1][1] += bits.OnesCount64(v >> 2 & right)
+
+			// Rule 2 — symmetry. A leg moving forward in one step must
+			// move backward in the next: the Forward bits (gene bit 1)
+			// of the two steps differ.
+			if s > 0 || cyclic {
+				b.Symmetry += bits.OnesCount64((v ^ x.Bits.Field(prev+off, w)) >> 1 & geneLow)
 			}
-			if nl >= 3 && !allRaised(raised, 0, nl) {
+
+			// Rule 3 — coherence. Up before forward, down before
+			// backward: gene bits 0 and 1 agree.
+			b.Coherence += m - bits.OnesCount64((v^v>>1)&geneLow)
+		}
+
+		// Rule 1 — equilibrium. In each phase, on each (3+ legged)
+		// side, at most two legs may be raised: the check fails only
+		// when the side's raised count is its size.
+		for _, r := range raised {
+			if nl >= 3 && r[0] < nl {
 				b.Equilibrium++
 			}
-			if legs-nl >= 3 && !allRaised(raised, nl, legs) {
+			if nr >= 3 && r[1] < nr {
 				b.Equilibrium++
-			}
-		}
-	}
-
-	// Rule 2 — symmetry. A leg moving forward in one step must move
-	// backward in the next (cyclically).
-	for p := 0; p < symmetryPairs(steps); p++ {
-		next := (p + 1) % steps
-		for leg := 0; leg < legs; leg++ {
-			if x.Gene(p, leg).Forward != x.Gene(next, leg).Forward {
-				b.Symmetry++
-			}
-		}
-	}
-
-	// Rule 3 — coherence. Up before forward, down before backward.
-	for s := 0; s < steps; s++ {
-		for leg := 0; leg < legs; leg++ {
-			if x.Gene(s, leg).Coherent() {
-				b.Coherence++
 			}
 		}
 	}
 	return b
 }
 
-func allRaised(raised func(int) bool, lo, hi int) bool {
-	for leg := lo; leg < hi; leg++ {
-		if !raised(leg) {
-			return false
-		}
-	}
-	return true
-}
+// geneLow marks bit 0 of each 3-bit gene in a 63-bit window:
+// bits 0, 3, ..., 60, i.e. (2^63-1)/7.
+const geneLow = 0x1249249249249249
+
+// windowGenes is the number of whole genes one 64-bit field holds.
+const windowGenes = 21
+
+// lowBits returns a mask of the low n bits (n < 64).
+func lowBits(n int) uint64 { return uint64(1)<<uint(n) - 1 }
 
 // Func adapts the evaluator to the plain fitness-function signature
 // used by the GA machinery (internal/evolve's searches), routing

@@ -342,9 +342,10 @@ func TestScoreMatchesScoreExtended(t *testing.T) {
 	}
 }
 
-// TestAllocsHotpath pins the fast path's zero-allocation guarantee:
-// scoring a packed genome must never touch the heap. The name matches
-// the CI alloc-budget step's -run TestAllocs filter.
+// TestAllocsHotpath pins the zero-allocation guarantee of both
+// kernels: scoring a packed genome, and scoring a 7-step genome
+// through the word-level ScoreExtended, must never touch the heap. The
+// name matches the CI alloc-budget step's -run TestAllocs filter.
 func TestAllocsHotpath(t *testing.T) {
 	e := New()
 	gs := []genome.Genome{0, genome.Mask, tripod(), 0x123456789}
@@ -358,6 +359,14 @@ func TestAllocsHotpath(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("Score/Breakdown allocate %v times per run, want 0", n)
+	}
+	e7 := Evaluator{Layout: sevenStep, Weights: DefaultWeights}
+	x := randomExtended(rand.New(rand.NewSource(7)), sevenStep, 0.5)
+	n = testing.AllocsPerRun(100, func() {
+		sink += e7.ScoreExtended(x)
+	})
+	if n != 0 {
+		t.Fatalf("7-step ScoreExtended allocates %v times per run, want 0", n)
 	}
 	_ = sink
 }

@@ -37,3 +37,25 @@ func FuzzLUTFitness(f *testing.F) {
 		}
 	})
 }
+
+// FuzzBreakdownExtended pins the word-level kernel to the gene-by-gene
+// oracle on fuzz-drawn layouts (1–16 steps, 1–24 legs: up to 1,152
+// bits, so genes and windows straddle words at every offset) and
+// fuzz-drawn bits, repeated cyclically to fill the genome.
+func FuzzBreakdownExtended(f *testing.F) {
+	f.Add(uint8(1), uint8(5), []byte{0xff})
+	f.Add(uint8(6), uint8(5), []byte{0x5a, 0x0f, 0xf0})
+	f.Add(uint8(11), uint8(8), []byte{0})
+	f.Add(uint8(2), uint8(21), []byte{0x92, 0x24, 0x49})
+	f.Fuzz(func(t *testing.T, steps, legs uint8, data []byte) {
+		ly := genome.Layout{Steps: 1 + int(steps)%16, Legs: 1 + int(legs)%24}
+		x := genome.NewExtended(ly)
+		for i := 0; len(data) > 0 && i < ly.Bits(); i++ {
+			x.Bits.Set(i, data[i/8%len(data)]>>(i%8)&1 != 0)
+		}
+		e := Evaluator{Layout: ly, Weights: DefaultWeights}
+		if got, want := e.BreakdownExtended(x), breakdownGeneByGene(e, x); got != want {
+			t.Fatalf("layout %+v genome %v: kernel %v, oracle %v", ly, x.Bits, got, want)
+		}
+	})
+}

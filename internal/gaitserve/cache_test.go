@@ -253,3 +253,44 @@ func TestConcurrentMixedKeys(t *testing.T) {
 		t.Fatalf("cache holds %d entries, cap 2", c.Len())
 	}
 }
+
+// TestCapHoldsAfterConcurrentMisses is the deterministic form of the
+// cap invariant TestConcurrentMixedKeys samples: with cap 1, two misses
+// for different runs are both in flight at once (their loaders block),
+// so insert-time eviction can drop neither. Once both publish, the
+// cache must be back within its cap.
+func TestCapHoldsAfterConcurrentMisses(t *testing.T) {
+	snap := evolveSnap(t, 31)
+	c := gaitserve.NewCache(1)
+
+	var started sync.WaitGroup
+	release := make(chan struct{})
+	load := func() ([]byte, error) {
+		started.Done()
+		<-release
+		return snap, nil
+	}
+	started.Add(2)
+	var done sync.WaitGroup
+	for _, id := range []string{"r0", "r1"} {
+		done.Add(1)
+		go func(id string) {
+			defer done.Done()
+			if _, err := c.Get(id, "h-"+id, load); err != nil {
+				t.Errorf("Get %s: %v", id, err)
+			}
+		}(id)
+	}
+	started.Wait() // both loaders hold their in-flight entries
+	if n := c.Len(); n != 2 {
+		t.Fatalf("%d entries with two misses in flight, want 2", n)
+	}
+	close(release)
+	done.Wait()
+	if n := c.Len(); n > 1 {
+		t.Fatalf("cache holds %d entries after both misses published, cap 1", n)
+	}
+	if ev := c.Stats().Evictions; ev != 1 {
+		t.Fatalf("%d evictions, want 1", ev)
+	}
+}

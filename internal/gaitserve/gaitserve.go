@@ -162,8 +162,12 @@ func (c *Cache) loadInto(e *entry, load func() ([]byte, error)) (*repertoire.Arc
 			c.removeLocked(e)
 		}
 	}
-	c.mu.Unlock()
 	close(e.ready)
+	// Eviction on insert skips in-flight entries, so concurrent misses
+	// can leave the cache over its cap until they publish. This entry
+	// just became evictable: trim back to the cap now.
+	c.evictLocked()
+	c.mu.Unlock()
 	return e.arch, e.err
 }
 
@@ -187,7 +191,7 @@ func (c *Cache) Invalidate(id string) {
 // evictLocked drops completed entries from the LRU tail until the
 // cache is within its cap. In-flight entries are skipped: their
 // loaders and waiters still hold them, and they become evictable the
-// moment they publish.
+// moment they publish, when loadInto evicts again.
 func (c *Cache) evictLocked() {
 	for e := c.tail; e != nil && len(c.entries) > c.cap; {
 		prev := e.prev

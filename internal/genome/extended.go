@@ -71,18 +71,7 @@ func (e Extended) Packed() Genome {
 
 // Gene extracts the decoded gene for one leg in one step.
 func (e Extended) Gene(step, leg int) LegGene {
-	base := (step*e.Layout.Legs + leg) * BitsPerLegStep
-	var b uint64
-	if e.Bits.Get(base) {
-		b |= 1
-	}
-	if e.Bits.Get(base + 1) {
-		b |= 2
-	}
-	if e.Bits.Get(base + 2) {
-		b |= 4
-	}
-	return LegGeneFromBits(b)
+	return LegGeneFromBits(e.Bits.Field((step*e.Layout.Legs+leg)*BitsPerLegStep, BitsPerLegStep))
 }
 
 // SetGene stores the gene for one leg in one step.
@@ -138,6 +127,28 @@ func (b BitString) Len() int { return b.n }
 func (b BitString) Get(i int) bool {
 	b.check(i)
 	return b.words[i/64]>>(uint(i)%64)&1 != 0
+}
+
+// Field returns the n bits [i, i+n) as the low bits of a word
+// (0 <= n <= 64). The field may straddle two backing words. It reads
+// in place: unlike Words, it copies nothing, so word-level kernels
+// (fitness.BreakdownExtended) can scan a genome without allocating.
+//
+//leo:hotpath
+func (b BitString) Field(i, n int) uint64 {
+	if uint(n) > 64 || i < 0 || i > b.n-n {
+		panic(fmt.Sprintf("genome: bit field [%d,%d+%d) out of range [0,%d)", i, i, n, b.n))
+	}
+	if n == 0 {
+		return 0
+	}
+	w, off := uint(i)/64, uint(i)%64
+	v := b.words[w] >> off
+	if off+uint(n) > 64 {
+		v |= b.words[w+1] << (64 - off)
+	}
+	// For n == 64 the shift yields 0 and the mask all ones.
+	return v & (uint64(1)<<uint(n) - 1)
 }
 
 // Set sets bit i to v.

@@ -275,3 +275,44 @@ func TestExtendedCloneIndependence(t *testing.T) {
 		t.Fatal("Clone shares storage")
 	}
 }
+
+// TestFieldMatchesGet pins Field to bit-by-bit Get over multi-word
+// strings: every start offset, every width 0..64, so fields inside one
+// word, straddling a word boundary, and spanning a whole word all
+// agree with the bits they name.
+func TestFieldMatchesGet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{64, 130, 200} {
+		b := NewBitString(n)
+		for i := 0; i < n; i++ {
+			b.Set(i, rng.Intn(2) == 1)
+		}
+		for i := 0; i <= n; i++ {
+			for w := 0; w <= 64 && i+w <= n; w++ {
+				var want uint64
+				for k := 0; k < w; k++ {
+					if b.Get(i + k) {
+						want |= 1 << uint(k)
+					}
+				}
+				if got := b.Field(i, w); got != want {
+					t.Fatalf("len %d: Field(%d, %d) = %#x, want %#x", n, i, w, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestFieldOutOfRangePanics(t *testing.T) {
+	b := NewBitString(70)
+	for _, c := range [][2]int{{-1, 3}, {68, 3}, {0, 65}, {0, -1}, {71, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Field(%d, %d) on 70 bits did not panic", c[0], c[1])
+				}
+			}()
+			b.Field(c[0], c[1])
+		}()
+	}
+}

@@ -31,6 +31,8 @@ import "math"
 // sentinel, not a solution. Coincident feet (all p_i equal) leave the
 // rotation unobservable; the solver then fixes ω = 0 and reports
 // ok = true, since the translational part is still well-defined.
+//
+//leo:hotpath
 func RigidMotion(feet, strides []Vec2) (v Vec2, omega float64, slip float64, ok bool) {
 	n := len(feet)
 	if n == 0 || n != len(strides) {

@@ -30,6 +30,7 @@ package robot
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"leonardo/internal/controller"
 	"leonardo/internal/genome"
@@ -161,25 +162,59 @@ func (m Metrics) String() string {
 type Robot struct {
 	ctl      *controller.Controller
 	pose     Pose
-	posture  controller.Posture
+	posture  posture
 	stumbled bool // last phase executed without stable support
 	hitOb    bool
 	// articulation is the body-joint angle in radians (+ = left).
 	articulation float64
-	// failed is the index of a dead leg, or -1.
-	failed int
+	// failed holds a dead leg's Up and Forward bits, or 0.
+	failed posture
+}
+
+// posture is the commanded state of Leonardo's six legs packed into
+// 12 bits: bit l is leg l's Up flag and bit genome.Legs+l its Forward
+// flag. It is everything the kinematics read of a posture, and it
+// indexes the stability-margin table.
+type posture uint16
+
+// upBits masks the Up flags of a posture.
+const upBits posture = 1<<genome.Legs - 1
+
+func (p posture) up(l int) bool      { return p>>uint(l)&1 != 0 }
+func (p posture) forward(l int) bool { return p>>uint(genome.Legs+l)&1 != 0 }
+
+// postureOf packs the six legs of a controller posture. A wider
+// layout's extra legs are not part of the simulated body.
+//
+//leo:hotpath
+func postureOf(c controller.Posture) posture {
+	var p posture
+	for l := 0; l < genome.Legs; l++ {
+		if c.Up[l] {
+			p |= 1 << uint(l)
+		}
+		if c.Forward[l] {
+			p |= 1 << uint(genome.Legs+l)
+		}
+	}
+	return p
 }
 
 // New places a robot at the origin with the given controller. All
 // legs start grounded at the rear of their stride (the controller's
 // initial posture).
 func New(ctl *controller.Controller) *Robot {
-	return &Robot{ctl: ctl, posture: ctl.Posture(), failed: -1}
+	return &Robot{ctl: ctl, posture: postureOf(ctl.Posture())}
 }
 
 // FailLeg kills both servos of a leg: it stays grounded at its current
 // stride position and drags from then on.
-func (r *Robot) FailLeg(leg genome.Leg) { r.failed = int(leg) }
+func (r *Robot) FailLeg(leg genome.Leg) {
+	if leg < 0 || leg >= genome.Legs {
+		panic(fmt.Sprintf("robot: no leg %d to fail", int(leg)))
+	}
+	r.failed = 1<<uint(leg) | 1<<uint(genome.Legs+int(leg))
+}
 
 // NewForGenome is a convenience wrapping controller.New.
 func NewForGenome(g genome.Genome) *Robot {
@@ -209,7 +244,7 @@ func (r *Robot) Stumbled() bool { return r.stumbled }
 func (r *Robot) Sensors() Sensors {
 	var s Sensors
 	for l := 0; l < genome.Legs; l++ {
-		s.Ground[l] = !r.posture.Up[l] || r.stumbled
+		s.Ground[l] = !r.posture.up(l) || r.stumbled
 	}
 	if r.hitOb {
 		// The front legs touch the wall.
@@ -220,20 +255,37 @@ func (r *Robot) Sensors() Sensors {
 }
 
 // stanceFeet returns the feet on the ground under a posture.
-func stanceFeet(p controller.Posture) []Vec2 {
+func stanceFeet(p posture) []Vec2 {
 	var out []Vec2
 	for l := 0; l < genome.Legs; l++ {
-		if !p.Up[l] {
-			out = append(out, FootPosition(genome.Leg(l), p.Forward[l]))
+		if !p.up(l) {
+			out = append(out, FootPosition(genome.Leg(l), p.forward(l)))
 		}
 	}
 	return out
 }
 
+var (
+	marginOnce sync.Once
+	// marginTable holds margin(p) for every 12-bit posture p.
+	marginTable [1 << (2 * genome.Legs)]float64
+)
+
 // margin returns the static stability margin for a posture: the
-// centre of mass is at the body origin.
-func margin(p controller.Posture) float64 {
-	return StabilityMargin(Vec2{}, stanceFeet(p))
+// centre of mass is at the body origin. The margin depends on the 12
+// posture bits alone (articulation steers strides, not foot
+// positions), so it is served from a table of all 4,096 postures,
+// filled on the first trial by the very StabilityMargin call it
+// replaces: exact by construction, and a trial's phases cost no hull.
+//
+//leo:hotpath
+func margin(p posture) float64 {
+	marginOnce.Do(func() {
+		for i := range marginTable {
+			marginTable[i] = StabilityMargin(Vec2{}, stanceFeet(posture(i)))
+		}
+	})
+	return marginTable[p]
 }
 
 // PhaseResult is the outcome of executing one controller phase.
@@ -266,17 +318,18 @@ func rowSteer(leg genome.Leg) float64 {
 	}
 }
 
-// Step executes one controller phase and returns its outcome.
+// Step executes one controller phase and returns its outcome. It
+// allocates nothing.
+//
+//leo:hotpath
 func (r *Robot) Step(obstacleAt float64) PhaseResult {
 	before := r.posture
 	move := r.ctl.Move()
-	after := r.ctl.Advance()
+	after := postureOf(r.ctl.AdvanceShared())
 
-	// A failed leg ignores its commands: grounded, frozen in place.
-	if r.failed >= 0 {
-		after.Up[r.failed] = false
-		after.Forward[r.failed] = before.Forward[r.failed]
-	}
+	// A failed leg ignores its commands: grounded (Up cleared), frozen
+	// in place (Forward kept from before).
+	after = after&^r.failed | before&r.failed&^upBits
 
 	res := PhaseResult{Move: move}
 
@@ -285,26 +338,27 @@ func (r *Robot) Step(obstacleAt float64) PhaseResult {
 	// inconsistent strides become slip, differential strides become
 	// turning.
 	if move == controller.MoveHorizontal {
-		var feet, strides []Vec2
+		var feet, strides [genome.Legs]Vec2
+		n := 0
 		for l := 0; l < genome.Legs; l++ {
-			if before.Up[l] {
+			if before.up(l) {
 				continue // swing legs reposition freely
 			}
 			leg := genome.Leg(l)
-			d := FootPosition(leg, after.Forward[l]).X -
-				FootPosition(leg, before.Forward[l]).X
+			d := FootPosition(leg, after.forward(l)).X -
+				FootPosition(leg, before.forward(l)).X
 			stride := Vec2{X: d}
 			if steer := rowSteer(leg) * r.articulation; steer != 0 {
 				// The bent body segment strokes along its own axis.
 				sinA, cosA := math.Sincos(steer)
 				stride = Vec2{X: d * cosA, Y: d * sinA}
 			}
-			feet = append(feet, FootPosition(leg, before.Forward[l]))
-			strides = append(strides, stride)
+			feet[n], strides[n] = FootPosition(leg, before.forward(l)), stride
+			n++
 		}
 		// ok is false only when every leg is in swing: no stance feet,
 		// so the body has nothing to push against and stays put.
-		if v, omega, slip, ok := RigidMotion(feet, strides); ok {
+		if v, omega, slip, ok := RigidMotion(feet[:n], strides[:n]); ok {
 			res.Twist, res.Omega, res.Slip = v, omega, slip
 			res.Displacement = v.X
 		}
