@@ -1,10 +1,6 @@
 package leonardo
 
-import (
-	"context"
-
-	"leonardo/internal/island"
-)
+import "leonardo/internal/island"
 
 // Distributed archipelago facade: one island-model run sharded across K
 // cooperating processes (leonardod nodes), each owning a contiguous
@@ -80,22 +76,10 @@ func ResumeCluster(snapshot []byte, tr MigrationTransport) (*ClusterRun, error) 
 	return &ClusterRun{a: a, snap: a.Snapshot(), snapEpoch: a.Epochs()}, nil
 }
 
-// EvolveDistributed runs this node's shard to completion under ctx; obs
-// — if non-nil — receives one aggregate Event per epoch (local demes
-// only). The fleet finishes together: a deme converging anywhere ends
-// every shard at the same barrier.
-func EvolveDistributed(ctx context.Context, p IslandParams, shard ClusterShard, tr MigrationTransport, obs Observer) (IslandResult, error) {
-	a, err := island.NewShard(p, shard, tr)
-	if err != nil {
-		return IslandResult{}, err
-	}
-	return a.RunCtx(ctx, obs)
-}
-
 // MergeClusterSnapshots reassembles the K shard snapshots of one fleet
 // — all taken at the same epoch barrier — into the canonical KindIsland
 // snapshot: byte for byte what a single-node run would have written.
-// The merged snapshot restores with ResumeIslands.
+// The merged snapshot resumes with ResumeAny, as an *IslandRun.
 func MergeClusterSnapshots(parts [][]byte) ([]byte, error) {
 	return island.MergeShardSnapshots(parts)
 }

@@ -43,6 +43,9 @@
 // file written in repertoire mode resumes in repertoire mode — and
 // replays bit-identically for any -workers value. -progress and
 // -checkpoint-at count batches.
+//
+// -resume refuses snapshots of the kinds the command does not report:
+// gate-level circuit runs and cluster shards (leonardod's kinds).
 package main
 
 import (
@@ -55,13 +58,13 @@ import (
 	"os/signal"
 	"syscall"
 
+	"leonardo"
 	"leonardo/internal/engine"
 	"leonardo/internal/gait"
 	"leonardo/internal/gap"
 	"leonardo/internal/genome"
 	"leonardo/internal/island"
 	"leonardo/internal/prof"
-	"leonardo/internal/repertoire"
 	"leonardo/internal/robot"
 	"leonardo/internal/stats"
 )
@@ -70,8 +73,8 @@ import (
 // before os.Exit.
 func main() { os.Exit(run()) }
 
-// output is the -json document: the run result plus, with -progress,
-// the per-generation trace.
+// output is the -json document of a gap or archipelago run: the run
+// result plus, with -progress, the per-generation trace.
 type output struct {
 	Converged   bool           `json:"converged"`
 	Cancelled   bool           `json:"cancelled,omitempty"`
@@ -91,17 +94,17 @@ type output struct {
 // repertoireOutput is the -json document of a -repertoire run: archive
 // coverage and work counters plus every elite.
 type repertoireOutput struct {
-	Cancelled   bool               `json:"cancelled,omitempty"`
-	Filled      int                `json:"filled"`
-	Cells       int                `json:"cells"`
-	BestFitness int                `json:"best_fitness"`
-	MaxFitness  int                `json:"max_fitness"`
-	Batches     int                `json:"batches"`
-	Evaluations int                `json:"evaluations"`
-	Draws       uint64             `json:"draws"`
-	Checkpoint  string             `json:"checkpoint,omitempty"`
-	Elites      []repertoire.Elite `json:"elites,omitempty"`
-	Trace       []engine.Event     `json:"trace,omitempty"`
+	Cancelled   bool                       `json:"cancelled,omitempty"`
+	Filled      int                        `json:"filled"`
+	Cells       int                        `json:"cells"`
+	BestFitness int                        `json:"best_fitness"`
+	MaxFitness  int                        `json:"max_fitness"`
+	Batches     int                        `json:"batches"`
+	Evaluations int                        `json:"evaluations"`
+	Draws       uint64                     `json:"draws"`
+	Checkpoint  string                     `json:"checkpoint,omitempty"`
+	Elites      []leonardo.RepertoireElite `json:"elites,omitempty"`
+	Trace       []engine.Event             `json:"trace,omitempty"`
 }
 
 func run() int {
@@ -146,14 +149,6 @@ func run() int {
 	// the process instead of being swallowed during that wind-down.
 	context.AfterFunc(ctx, cancel)
 
-	var resumeData []byte
-	if *resume != "" {
-		if resumeData, err = os.ReadFile(*resume); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-	}
-
 	base := gap.PaperParams(*seed)
 	base.PopulationSize = *pop
 	base.SelectionThreshold = *sel
@@ -162,81 +157,68 @@ func run() int {
 	base.MaxGenerations = *maxGen
 	base.Layout = genome.Layout{Steps: *steps, Legs: genome.Legs}
 	base.RecordHistory = *curve
+	ip := leonardo.IslandParams{
+		Demes:        *islands,
+		MigrateEvery: *migrateEvery,
+		Topology:     island.Topology(*topology),
+		Workers:      *workers,
+		Base:         base,
+	}
 
-	// Island dispatch: an explicit -islands N>1, or a resume file whose
-	// header says it was written by an island run — the snapshot kind,
-	// not the flags, decides how a file resumes.
-	resumedKind := ""
-	if resumeData != nil {
-		if resumedKind, err = engine.SnapshotKind(resumeData); err != nil {
+	// A resumed run takes its kind and parameters from the snapshot, not
+	// the flags; a fresh one is the mode the flags select.
+	var r leonardo.Runner
+	switch {
+	case *resume != "":
+		data, err := os.ReadFile(*resume)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "evolve:", err)
 			return 1
 		}
-	}
-	// Repertoire dispatch first: like the island split, the snapshot
-	// kind — not the flags — decides how a file resumes.
-	if resumedKind == "repertoire" || (resumeData == nil && *repertoireMode) {
-		rp := repertoire.Params{
+		if r, err = leonardo.ResumeAny(data); err != nil {
+			fmt.Fprintln(os.Stderr, "evolve:", err)
+			return 1
+		}
+		// Workers is pure scheduling, so it is the one flag a resume
+		// honours.
+		if w, ok := r.(interface{ SetWorkers(int) }); ok {
+			w.SetWorkers(*workers)
+		}
+	case *repertoireMode:
+		rp := leonardo.RepertoireParams{
 			Batch:          *batch,
 			MaxEvaluations: *evals,
 			Seed:           *seed,
 			Workers:        *workers,
 		}
 		if *grid != "" {
-			if n, err := fmt.Sscanf(*grid, "%dx%d", &rp.Headings, &rp.Strides); n != 2 || err != nil {
+			if rp.Headings, rp.Strides, err = leonardo.ParseGrid(*grid); err != nil {
 				fmt.Fprintf(os.Stderr, "evolve: -grid %q is not of the form HxS (e.g. 16x8)\n", *grid)
 				return 1
 			}
 		}
-		var rep *repertoire.Repertoire
-		if resumeData != nil {
-			if rep, err = repertoire.Restore(resumeData); err != nil {
-				fmt.Fprintln(os.Stderr, "evolve:", err)
-				return 1
-			}
-			rep.SetWorkers(*workers)
-			filled, total := rep.Coverage()
-			fmt.Fprintf(os.Stderr, "evolve: resumed %q at batch %d (%d/%d cells)\n",
-				*resume, rep.Batches(), filled, total)
-		} else if rep, err = repertoire.New(rp); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
+		r, err = leonardo.NewRepertoireRun(rp)
+	case *lanepack:
+		if ip.Demes <= 1 {
+			ip.Demes = leonardo.DefaultLanePackDemes
 		}
-		return runRepertoire(ctx, rep, *jsonOut, *progress, *checkpoint, *checkpointAt)
+		r, err = leonardo.NewLanePackRun(ip)
+	case *islands > 1:
+		r, err = leonardo.NewIslandRun(ip)
+	default:
+		r, err = leonardo.NewRun(base)
 	}
-
-	if resumedKind == "island" || resumedKind == "lanepack" ||
-		(resumeData == nil && (*islands > 1 || *lanepack)) {
-		ip := island.Params{
-			Demes:        *islands,
-			MigrateEvery: *migrateEvery,
-			Topology:     island.Topology(*topology),
-			Workers:      *workers,
-			Base:         base,
-		}
-		if resumeData == nil && *lanepack && ip.Demes <= 1 {
-			ip.Demes = island.MaxLaneDemes
-		}
-		a, err := buildArchipelago(resumeData, resumedKind, *resume, *lanepack, ip)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		return runIslands(ctx, a, *jsonOut, *progress, *checkpoint, *checkpointAt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "evolve:", err)
+		return 1
 	}
-
-	var g *gap.GAP
-	if resumeData != nil {
-		if g, err = gap.Restore(resumeData, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "evolve: resumed %q at generation %d\n", *resume, g.GenerationNumber())
-	} else {
-		if g, err = gap.New(base); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
+	v, err := viewOf(r, *curve)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "evolve:", err)
+		return 1
+	}
+	if *resume != "" {
+		fmt.Fprintf(os.Stderr, "evolve: resumed %q at %s\n", *resume, v.position())
 	}
 
 	// Observation: a stride-sampled recorder feeds the JSON trace, a
@@ -250,9 +232,8 @@ func run() int {
 		if !*jsonOut {
 			every := *progress
 			observers = append(observers, engine.FuncObserver(func(ev engine.Event) {
-				if ev.Generation%every == 0 {
-					fmt.Fprintf(os.Stderr, "gen %6d  best %2d/%2d  mean %5.1f  draws %d\n",
-						ev.Generation, ev.BestEver, g.Result().MaxFitness, ev.MeanFitness, ev.Draws)
+				if n, _ := v.steps(); n%every == 0 {
+					fmt.Fprintln(os.Stderr, v.progress(ev))
 				}
 			}))
 		}
@@ -264,67 +245,126 @@ func run() int {
 
 	limit := -1
 	if *checkpointAt > 0 {
-		limit = *checkpointAt - g.GenerationNumber()
-		if limit < 0 {
-			limit = 0
-		}
+		n, _ := v.steps()
+		limit = max(*checkpointAt-n, 0)
 	}
-	runErr := engine.Steps(ctx, g, obs, limit)
+	runErr := engine.Steps(ctx, r, obs, limit)
 	cancelled := errors.Is(runErr, context.Canceled)
 	if runErr != nil && !cancelled {
 		fmt.Fprintln(os.Stderr, "evolve:", runErr)
 		return 1
 	}
-	res := g.Result()
 
 	if *checkpoint != "" {
-		if err := os.WriteFile(*checkpoint, g.Snapshot(), 0o644); err != nil {
+		if err := os.WriteFile(*checkpoint, r.Snapshot(), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, "evolve:", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "evolve: snapshot at generation %d written to %q\n",
-			g.GenerationNumber(), *checkpoint)
+		n, unit := v.steps()
+		fmt.Fprintf(os.Stderr, "evolve: snapshot at %s %d written to %q\n", unit, n, *checkpoint)
 	}
 
-	p := g.Params()
-	timing := gap.PaperTiming()
-	timing.Bits = p.Layout.Bits()
-	timing.Population = p.PopulationSize
-	timing.Mutations = p.MutationsPerGeneration
-	timing.CrossoverRate = p.CrossoverThreshold
-
 	if *jsonOut {
-		out := output{
-			Converged:   res.Converged,
-			Cancelled:   cancelled,
-			Generations: res.Generations,
-			BestFitness: res.BestFitness,
-			MaxFitness:  res.MaxFitness,
-			Draws:       res.Draws,
-			OnChipNs:    timing.RunDuration(res.Generations).Nanoseconds(),
-			Checkpoint:  *checkpoint,
-		}
-		if p.Layout == genome.PaperLayout {
-			out.Genome = res.Best.Packed().String()
-		}
+		var trace []engine.Event
 		if rec != nil {
-			out.Trace = rec.Events()
+			trace = rec.Events()
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := enc.Encode(v.document(cancelled, *checkpoint, trace)); err != nil {
 			fmt.Fprintln(os.Stderr, "evolve:", err)
 			return 1
 		}
-		if cancelled {
-			return 130
-		}
-		return 0
+	} else {
+		v.print()
 	}
+	if cancelled {
+		return 130
+	}
+	return 0
+}
 
+// view is the per-kind part of the command: how far a run has come,
+// its -progress line, and its final report.
+type view interface {
+	// steps returns the completed steps in the unit -progress and
+	// -checkpoint-at count, and that unit's name.
+	steps() (int, string)
+	// position describes the resume point for the "resumed" notice.
+	position() string
+	progress(ev engine.Event) string
+	document(cancelled bool, checkpoint string, trace []engine.Event) any
+	print()
+}
+
+// viewOf picks the report for a run's kind. The command reports the
+// gap, archipelago, lane-packed, and repertoire kinds; any other
+// snapshot it is asked to resume is refused.
+func viewOf(r leonardo.Runner, curve bool) (view, error) {
+	switch r := r.(type) {
+	case *leonardo.Run:
+		return gapView{r, curve}, nil
+	case *leonardo.IslandRun:
+		return islandView{r}, nil
+	case *leonardo.LanePackRun:
+		return islandView{r}, nil
+	case *leonardo.RepertoireRun:
+		return repertoireView{r}, nil
+	}
+	return nil, fmt.Errorf("cannot run a %q snapshot (want a gap, island, lanepack, or repertoire run)", r.Kind())
+}
+
+// timing is the paper's clock-cycle model at a run's GA parameters.
+func timing(p leonardo.Params) gap.Timing {
+	t := gap.PaperTiming()
+	t.Bits = p.Layout.Bits()
+	t.Population = p.PopulationSize
+	t.Mutations = p.MutationsPerGeneration
+	t.CrossoverRate = p.CrossoverThreshold
+	return t
+}
+
+// gapView reports a single behavioural GAP run; -progress and
+// -checkpoint-at count generations.
+type gapView struct {
+	run   *leonardo.Run
+	curve bool
+}
+
+func (v gapView) steps() (int, string) { return v.run.Generation(), "generation" }
+
+func (v gapView) position() string { return fmt.Sprintf("generation %d", v.run.Generation()) }
+
+func (v gapView) progress(ev engine.Event) string {
+	return fmt.Sprintf("gen %6d  best %2d/%2d  mean %5.1f  draws %d",
+		ev.Generation, ev.BestEver, v.run.Result().MaxFitness, ev.MeanFitness, ev.Draws)
+}
+
+func (v gapView) document(cancelled bool, checkpoint string, trace []engine.Event) any {
+	res, p := v.run.Result(), v.run.Params()
+	out := output{
+		Converged:   res.Converged,
+		Cancelled:   cancelled,
+		Generations: res.Generations,
+		BestFitness: res.BestFitness,
+		MaxFitness:  res.MaxFitness,
+		Draws:       res.Draws,
+		OnChipNs:    timing(p).RunDuration(res.Generations).Nanoseconds(),
+		Checkpoint:  checkpoint,
+		Trace:       trace,
+	}
+	if p.Layout == genome.PaperLayout {
+		out.Genome = res.Best.Packed().String()
+	}
+	return out
+}
+
+func (v gapView) print() {
+	res, p := v.run.Result(), v.run.Params()
+	t := timing(p)
 	fmt.Printf("converged: %v after %d generations (best fitness %d/%d)\n",
 		res.Converged, res.Generations, res.BestFitness, res.MaxFitness)
-	fmt.Printf("on-chip time at 1 MHz: %v (%s)\n", timing.RunDuration(res.Generations), timing)
+	fmt.Printf("on-chip time at 1 MHz: %v (%s)\n", t.RunDuration(res.Generations), t)
 	fmt.Printf("random draws consumed: %d\n\n", res.Draws)
 
 	if p.Layout == genome.PaperLayout {
@@ -335,16 +375,14 @@ func run() int {
 		fmt.Println()
 		fmt.Println("gait diagram (2 cycles):")
 		fmt.Print(gait.Diagram(res.Best, 2))
-		m := robot.Walk(res.Best, robot.Trial{Cycles: 5})
-		fmt.Println("\nsimulated walk (5 cycles):", m)
 	} else {
 		fmt.Println("gait diagram (1 cycle):")
 		fmt.Print(gait.Diagram(res.Best, 1))
-		m := robot.Walk(res.Best, robot.Trial{Cycles: 5})
-		fmt.Println("\nsimulated walk (5 cycles):", m)
 	}
+	m := robot.Walk(res.Best, robot.Trial{Cycles: 5})
+	fmt.Println("\nsimulated walk (5 cycles):", m)
 
-	if *curve && len(res.History) > 0 {
+	if v.curve && len(res.History) > 0 {
 		var s stats.Series
 		s.Name = "best fitness"
 		for _, h := range res.History {
@@ -353,150 +391,62 @@ func run() int {
 		fmt.Println()
 		fmt.Print(s.Render(12, 72))
 	}
-	if cancelled {
-		return 130
-	}
-	return 0
 }
 
-// archipelago is the shared surface of the two island backends:
-// *island.Archipelago (one behavioural or gate-level deme per island)
-// and *island.LanePack (one deme per SWAR lane of a shared simulator).
-type archipelago interface {
-	engine.Stepper
-	Snapshot() []byte
-	Result() island.Result
-	Params() island.Params
-	SetWorkers(int)
-	Epochs() int
-	Migrations() int
-	Demes() int
+// islandView reports an archipelago, behavioural (*leonardo.IslandRun)
+// or lane-packed (*leonardo.LanePackRun); -progress and -checkpoint-at
+// count epochs, one epoch being -migrate-every generations per deme.
+type islandView struct {
+	run interface {
+		Epoch() int
+		Params() leonardo.IslandParams
+		Result() leonardo.IslandResult
+	}
 }
 
-// buildArchipelago constructs or resumes whichever island backend the
-// snapshot kind (on resume) or the -lanepack flag (fresh run) selects.
-func buildArchipelago(resumeData []byte, resumedKind, resumeName string,
-	lanepack bool, p island.Params) (archipelago, error) {
-	if resumeData == nil {
-		if lanepack {
-			return island.NewLanePack(p)
-		}
-		return island.New(p)
-	}
-	var a archipelago
-	var err error
-	if resumedKind == "lanepack" {
-		a, err = island.RestoreLanePack(resumeData)
-	} else {
-		a, err = island.Restore(resumeData, nil)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Workers is pure scheduling, so it is the one flag a resume
-	// honours; everything else comes from the snapshot.
-	a.SetWorkers(p.Workers)
-	fmt.Fprintf(os.Stderr, "evolve: resumed %q at epoch %d (%d demes)\n",
-		resumeName, a.Epochs(), a.Demes())
-	return a, nil
+func (v islandView) steps() (int, string) { return v.run.Epoch(), "epoch" }
+
+func (v islandView) position() string {
+	return fmt.Sprintf("epoch %d (%d demes)", v.run.Epoch(), v.run.Params().Demes)
 }
 
-// runIslands is the archipelago branch of run: step the (possibly
-// resumed) archipelago to completion (or to the -checkpoint-at epoch)
-// and report the cross-deme result. Progress and checkpoints are
-// epoch-granular — one epoch is -migrate-every generations per deme.
-func runIslands(ctx context.Context, a archipelago,
-	jsonOut bool, progress int, checkpoint string, checkpointAt int) int {
-	var observers []engine.Observer
-	var rec *engine.Recorder
-	if progress > 0 {
-		rec = &engine.Recorder{Every: progress}
-		observers = append(observers, rec)
-		if !jsonOut {
-			every := progress
-			epoch := a.Epochs()
-			observers = append(observers, engine.FuncObserver(func(ev engine.Event) {
-				epoch++
-				if epoch%every == 0 {
-					fmt.Fprintf(os.Stderr, "epoch %5d  gen %6d  best %2d/%2d  mean %5.1f  migrants %d\n",
-						epoch, ev.Generation, ev.BestEver, a.Result().MaxFitness, ev.MeanFitness, a.Migrations())
-				}
-			}))
-		}
-	}
-	var obs engine.Observer
-	if len(observers) > 0 {
-		obs = engine.MultiObserver(observers)
-	}
+func (v islandView) progress(ev engine.Event) string {
+	res := v.run.Result()
+	return fmt.Sprintf("epoch %5d  gen %6d  best %2d/%2d  mean %5.1f  migrants %d",
+		v.run.Epoch(), ev.Generation, ev.BestEver, res.MaxFitness, ev.MeanFitness, res.Migrations)
+}
 
-	limit := -1
-	if checkpointAt > 0 {
-		limit = checkpointAt - a.Epochs()
-		if limit < 0 {
-			limit = 0
-		}
+func (v islandView) document(cancelled bool, checkpoint string, trace []engine.Event) any {
+	res, p := v.run.Result(), v.run.Params()
+	out := output{
+		Converged:   res.Converged,
+		Cancelled:   cancelled,
+		Generations: res.Generations,
+		BestFitness: res.BestFitness,
+		MaxFitness:  res.MaxFitness,
+		Draws:       res.Draws,
+		Islands:     p.Demes,
+		Migrations:  res.Migrations,
+		BestDeme:    res.BestDeme,
+		OnChipNs:    timing(p.Base).RunDuration(res.Generations).Nanoseconds(),
+		Checkpoint:  checkpoint,
+		Trace:       trace,
 	}
-	runErr := engine.Steps(ctx, a, obs, limit)
-	cancelled := errors.Is(runErr, context.Canceled)
-	if runErr != nil && !cancelled {
-		fmt.Fprintln(os.Stderr, "evolve:", runErr)
-		return 1
+	if p.Base.Layout == genome.PaperLayout {
+		out.Genome = res.Best.Packed().String()
 	}
-	res := a.Result()
+	return out
+}
 
-	if checkpoint != "" {
-		if err := os.WriteFile(checkpoint, a.Snapshot(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "evolve: snapshot at epoch %d written to %q\n", a.Epochs(), checkpoint)
-	}
-
-	ap := a.Params()
-	timing := gap.PaperTiming()
-	timing.Bits = ap.Base.Layout.Bits()
-	timing.Population = ap.Base.PopulationSize
-	timing.Mutations = ap.Base.MutationsPerGeneration
-	timing.CrossoverRate = ap.Base.CrossoverThreshold
-
-	if jsonOut {
-		out := output{
-			Converged:   res.Converged,
-			Cancelled:   cancelled,
-			Generations: res.Generations,
-			BestFitness: res.BestFitness,
-			MaxFitness:  res.MaxFitness,
-			Draws:       res.Draws,
-			Islands:     a.Demes(),
-			Migrations:  res.Migrations,
-			BestDeme:    res.BestDeme,
-			OnChipNs:    timing.RunDuration(res.Generations).Nanoseconds(),
-			Checkpoint:  checkpoint,
-		}
-		if ap.Base.Layout == genome.PaperLayout {
-			out.Genome = res.Best.Packed().String()
-		}
-		if rec != nil {
-			out.Trace = rec.Events()
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		if cancelled {
-			return 130
-		}
-		return 0
-	}
-
+func (v islandView) print() {
+	res, p := v.run.Result(), v.run.Params()
+	t := timing(p.Base)
 	fmt.Printf("converged: %v after %d generations on %d islands (best fitness %d/%d, deme %d, %d migrants)\n",
-		res.Converged, res.Generations, a.Demes(), res.BestFitness, res.MaxFitness, res.BestDeme, res.Migrations)
-	fmt.Printf("on-chip time per island at 1 MHz: %v (%s)\n", timing.RunDuration(res.Generations), timing)
+		res.Converged, res.Generations, p.Demes, res.BestFitness, res.MaxFitness, res.BestDeme, res.Migrations)
+	fmt.Printf("on-chip time per island at 1 MHz: %v (%s)\n", t.RunDuration(res.Generations), t)
 	fmt.Printf("random draws consumed: %d\n\n", res.Draws)
 
-	if ap.Base.Layout == genome.PaperLayout {
+	if p.Base.Layout == genome.PaperLayout {
 		champ := res.Best.Packed()
 		fmt.Println("champion genome:")
 		fmt.Println(" ", champ)
@@ -507,97 +457,50 @@ func runIslands(ctx context.Context, a archipelago,
 	fmt.Print(gait.Diagram(res.Best, 2))
 	m := robot.Walk(res.Best, robot.Trial{Cycles: 5})
 	fmt.Println("\nsimulated walk (5 cycles):", m)
-
-	if cancelled {
-		return 130
-	}
-	return 0
 }
 
-// runRepertoire is the MAP-Elites branch of run: step the (possibly
-// resumed) archive to its evaluation budget (or to the -checkpoint-at
-// batch) and report coverage plus the elites. Progress and checkpoints
-// are batch-granular.
-func runRepertoire(ctx context.Context, rep *repertoire.Repertoire,
-	jsonOut bool, progress int, checkpoint string, checkpointAt int) int {
-	var observers []engine.Observer
-	var rec *engine.Recorder
-	if progress > 0 {
-		rec = &engine.Recorder{Every: progress}
-		observers = append(observers, rec)
-		if !jsonOut {
-			every := progress
-			observers = append(observers, engine.FuncObserver(func(ev engine.Event) {
-				if ev.Generation%every == 0 {
-					filled, total := rep.Coverage()
-					fmt.Fprintf(os.Stderr, "batch %5d  evals %7d  cells %4d/%4d  best %2d  mean %5.1f\n",
-						ev.Generation, ev.Evaluations, filled, total, ev.BestEver, ev.MeanFitness)
-				}
-			}))
-		}
-	}
-	var obs engine.Observer
-	if len(observers) > 0 {
-		obs = engine.MultiObserver(observers)
-	}
+// repertoireView reports a MAP-Elites archive: coverage plus the
+// elites; -progress and -checkpoint-at count batches.
+type repertoireView struct{ run *leonardo.RepertoireRun }
 
-	limit := -1
-	if checkpointAt > 0 {
-		limit = checkpointAt - rep.Batches()
-		if limit < 0 {
-			limit = 0
-		}
-	}
-	runErr := engine.Steps(ctx, rep, obs, limit)
-	cancelled := errors.Is(runErr, context.Canceled)
-	if runErr != nil && !cancelled {
-		fmt.Fprintln(os.Stderr, "evolve:", runErr)
-		return 1
-	}
-	res := rep.Result()
+func (v repertoireView) steps() (int, string) { return v.run.Batches(), "batch" }
 
-	if checkpoint != "" {
-		if err := os.WriteFile(checkpoint, rep.Snapshot(), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "evolve: snapshot at batch %d written to %q\n", rep.Batches(), checkpoint)
-	}
+func (v repertoireView) position() string {
+	filled, total := v.run.Coverage()
+	return fmt.Sprintf("batch %d (%d/%d cells)", v.run.Batches(), filled, total)
+}
 
-	if jsonOut {
-		out := repertoireOutput{
-			Cancelled:   cancelled,
-			Filled:      res.Filled,
-			Cells:       res.Cells,
-			BestFitness: res.BestFitness,
-			MaxFitness:  res.MaxFitness,
-			Batches:     res.Batches,
-			Evaluations: res.Evaluations,
-			Draws:       res.Draws,
-			Checkpoint:  checkpoint,
-			Elites:      rep.Elites(),
-		}
-		if rec != nil {
-			out.Trace = rec.Events()
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "evolve:", err)
-			return 1
-		}
-		if cancelled {
-			return 130
-		}
-		return 0
-	}
+func (v repertoireView) progress(ev engine.Event) string {
+	filled, total := v.run.Coverage()
+	return fmt.Sprintf("batch %5d  evals %7d  cells %4d/%4d  best %2d  mean %5.1f",
+		ev.Generation, ev.Evaluations, filled, total, ev.BestEver, ev.MeanFitness)
+}
 
+func (v repertoireView) document(cancelled bool, checkpoint string, trace []engine.Event) any {
+	res := v.run.Result()
+	return repertoireOutput{
+		Cancelled:   cancelled,
+		Filled:      res.Filled,
+		Cells:       res.Cells,
+		BestFitness: res.BestFitness,
+		MaxFitness:  res.MaxFitness,
+		Batches:     res.Batches,
+		Evaluations: res.Evaluations,
+		Draws:       res.Draws,
+		Checkpoint:  checkpoint,
+		Elites:      v.run.Elites(),
+		Trace:       trace,
+	}
+}
+
+func (v repertoireView) print() {
+	res := v.run.Result()
 	fmt.Printf("repertoire: %d/%d cells after %d evaluations in %d batches (best fitness %d/%d)\n",
 		res.Filled, res.Cells, res.Evaluations, res.Batches, res.BestFitness, res.MaxFitness)
 	fmt.Printf("random draws consumed: %d\n\n", res.Draws)
 
 	fmt.Println("elites (heading rad, stride mm/cycle, fitness):")
-	for _, el := range rep.Elites() {
+	for _, el := range v.run.Elites() {
 		fmt.Printf("  %+6.3f  %7.2f  %2d  %s\n", el.HeadingRad, el.StrideMM, el.Fitness, el.Genome)
 	}
 	if res.Filled > 0 {
@@ -606,9 +509,4 @@ func runRepertoire(ctx context.Context, rep *repertoire.Repertoire,
 		m := robot.WalkGenome(res.Best.Genome, robot.Trial{Cycles: 5})
 		fmt.Println("\nsimulated walk (5 cycles):", m)
 	}
-
-	if cancelled {
-		return 130
-	}
-	return 0
 }

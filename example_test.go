@@ -52,7 +52,7 @@ func ExampleEvolve() {
 // mid-run, resuming, and querying the finished archive for a
 // behaviour. The interrupted run finishes bit-identically to an
 // uninterrupted one, so the lookup below is deterministic.
-func ExampleEvolveRepertoire() {
+func ExampleRepertoireRun() {
 	p := leonardo.RepertoireParams{
 		Headings:       8,
 		Strides:        4,
@@ -75,11 +75,14 @@ func ExampleEvolveRepertoire() {
 	}
 	checkpoint := run.Snapshot()
 
-	// Resume from bytes and drive the archive to its budget.
-	resumed, err := leonardo.ResumeRepertoire(checkpoint)
+	// Resume from bytes and drive the archive to its budget. The
+	// snapshot names its own kind, so ResumeAny returns a
+	// *RepertoireRun.
+	runner, err := leonardo.ResumeAny(checkpoint)
 	if err != nil {
 		panic(err)
 	}
+	resumed := runner.(*leonardo.RepertoireRun)
 	res, err := resumed.RunCtx(context.Background(), nil)
 	if err != nil {
 		panic(err)

@@ -48,9 +48,13 @@ func TestRunPauseResume(t *testing.T) {
 	}
 	snap := r.Snapshot()
 
-	resumed, err := Resume(snap)
+	resumedAny, err := ResumeAny(snap)
 	if err != nil {
 		t.Fatal(err)
+	}
+	resumed, ok := resumedAny.(*Run)
+	if !ok {
+		t.Fatalf("ResumeAny returned %T, want *Run", resumedAny)
 	}
 	if resumed.Generation() != r.Generation() {
 		t.Fatalf("resumed at generation %d, paused at %d", resumed.Generation(), r.Generation())
@@ -70,8 +74,12 @@ func TestRunPauseResume(t *testing.T) {
 // continues an interrupted archipelago to the same champion.
 func TestEvolveIslands(t *testing.T) {
 	p := IslandParams{Demes: 4, MigrateEvery: 10, Topology: Ring, Base: PaperParams(7)}
+	r, err := NewIslandRun(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var epochs int
-	res, err := EvolveIslands(context.Background(), p, ObserverFunc(func(Event) { epochs++ }))
+	res, err := r.RunCtx(context.Background(), ObserverFunc(func(Event) { epochs++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +99,11 @@ func TestEvolveIslands(t *testing.T) {
 // on the same champion as the uninterrupted run.
 func TestIslandRunPauseResume(t *testing.T) {
 	p := IslandParams{Demes: 3, MigrateEvery: 10, Base: PaperParams(19)}
-	ref, err := EvolveIslands(context.Background(), p, nil)
+	twin, err := NewIslandRun(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := twin.RunCtx(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +117,13 @@ func TestIslandRunPauseResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resumed, err := ResumeIslands(r.Snapshot())
+	resumedAny, err := ResumeAny(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
+	}
+	resumed, ok := resumedAny.(*IslandRun)
+	if !ok {
+		t.Fatalf("ResumeAny returned %T, want *IslandRun", resumedAny)
 	}
 	if resumed.Epoch() != r.Epoch() {
 		t.Fatalf("resumed at epoch %d, paused at %d", resumed.Epoch(), r.Epoch())
@@ -122,13 +138,13 @@ func TestIslandRunPauseResume(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsGarbage keeps Resume a safe boundary for snapshot
-// files read from disk.
+// TestResumeRejectsGarbage keeps ResumeAny a safe boundary for
+// snapshot files read from disk.
 func TestResumeRejectsGarbage(t *testing.T) {
-	if _, err := Resume(nil); err == nil {
+	if _, err := ResumeAny(nil); err == nil {
 		t.Fatal("nil snapshot accepted")
 	}
-	if _, err := Resume([]byte("not a snapshot")); err == nil {
+	if _, err := ResumeAny([]byte("not a snapshot")); err == nil {
 		t.Fatal("garbage snapshot accepted")
 	}
 }
@@ -229,7 +245,7 @@ func TestLanePackSpecDefaultsTo64Demes(t *testing.T) {
 		t.Fatal(err)
 	}
 	lp := runner.(*LanePackRun)
-	if got := lp.lp.Params().Demes; got != DefaultLanePackDemes {
+	if got := lp.Params().Demes; got != DefaultLanePackDemes {
 		t.Fatalf("defaulted to %d demes, want %d", got, DefaultLanePackDemes)
 	}
 }

@@ -99,3 +99,19 @@ func TestMapPartialResultsOnError(t *testing.T) {
 		}
 	}
 }
+
+func TestMapCancelledBeforeStart(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var calls atomic.Int32
+	_, err := Map(ctx, 2, 100, func(i int) (int, error) {
+		calls.Add(1)
+		return i, nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("%d tasks ran under a context cancelled before the sweep", n)
+	}
+}

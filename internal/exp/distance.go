@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"leonardo/internal/engine"
 	"leonardo/internal/gait"
 	"leonardo/internal/gap"
 	"leonardo/internal/genome"
@@ -52,7 +53,7 @@ func A4DistanceFitness(ctx context.Context, cfg Config) (Table, error) {
 		gens, evals float64
 		dist        float64
 	}
-	ruleOuts, err := mapSeeds(ctx, cfg, n, func(i int) (outcome, error) {
+	ruleOuts, err := engine.Map(ctx, cfg.Workers, n, func(i int) (outcome, error) {
 		p := gap.PaperParams(cfg.BaseSeed + 11000 + uint64(i))
 		g, err := gap.New(p)
 		if err != nil {
@@ -93,7 +94,7 @@ func A4DistanceFitness(ctx context.Context, cfg Config) (Table, error) {
 
 	// On-robot distance evolution (the rejected idea), seeds in
 	// parallel.
-	outs, err := mapSeeds(ctx, cfg, n, func(i int) (outcome, error) {
+	outs, err := engine.Map(ctx, cfg.Workers, n, func(i int) (outcome, error) {
 		p := gap.PaperParams(cfg.BaseSeed + 12000 + uint64(i))
 		p.Objective = distanceObjective{target: tripodScore}
 		p.MaxGenerations = 3000

@@ -268,45 +268,6 @@ func TestA6FaultRecovery(t *testing.T) {
 	}
 }
 
-func TestMapSeedsOrderAndCoverage(t *testing.T) {
-	ctx := context.Background()
-	out, err := mapSeeds(ctx, testCfg, 50, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-	empty, err := mapSeeds(ctx, testCfg, 0, func(int) (int, error) { return 1, nil })
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("n=0 should return empty, got %v, %v", empty, err)
-	}
-}
-
-func TestMapSeedsErrorPropagation(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := mapSeeds(context.Background(), testCfg, 20, func(i int) (int, error) {
-		if i == 7 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want wrapped boom", err)
-	}
-}
-
-func TestMapSeedsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := mapSeeds(ctx, Config{Workers: 2}, 100, func(i int) (int, error) { return i, nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 func TestAllStopsOnCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

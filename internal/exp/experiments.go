@@ -56,7 +56,7 @@ func runPaper(ctx context.Context, seed uint64) (gap.Result, error) {
 // generationSample collects generations-to-convergence over n seeds,
 // running the seeds in parallel.
 func generationSample(ctx context.Context, cfg Config, n int) ([]float64, error) {
-	results, err := mapSeeds(ctx, cfg, n, func(i int) (gap.Result, error) {
+	results, err := engine.Map(ctx, cfg.Workers, n, func(i int) (gap.Result, error) {
 		return runPaper(ctx, cfg.BaseSeed+uint64(i))
 	})
 	if err != nil {
@@ -236,7 +236,7 @@ func E5WalkQuality(ctx context.Context, cfg Config) (Table, error) {
 		ok bool
 		m  robot.Metrics
 	}
-	outs, err := mapSeeds(ctx, cfg, n, func(i int) (outcome, error) {
+	outs, err := engine.Map(ctx, cfg.Workers, n, func(i int) (outcome, error) {
 		r, err := runPaper(ctx, cfg.BaseSeed+1000+uint64(i))
 		if err != nil {
 			return outcome{}, err
@@ -368,7 +368,7 @@ func A1RuleAblation(ctx context.Context, cfg Config) (Table, error) {
 			gens float64
 			m    robot.Metrics
 		}
-		outs, err := mapSeeds(ctx, cfg, n, func(i int) (outcome, error) {
+		outs, err := engine.Map(ctx, cfg.Workers, n, func(i int) (outcome, error) {
 			p := gap.PaperParams(cfg.BaseSeed + 2000 + uint64(i))
 			p.Objective = ev
 			g, err := gap.New(p)
@@ -443,7 +443,7 @@ func A2Baselines(ctx context.Context, cfg Config) (Table, error) {
 		return count, es
 	}
 
-	gapRuns, err := mapSeeds(ctx, cfg, n, func(i int) (hit, error) {
+	gapRuns, err := engine.Map(ctx, cfg.Workers, n, func(i int) (hit, error) {
 		p := gap.PaperParams(cfg.BaseSeed + 3000 + uint64(i))
 		p.MaxGenerations = (budget - 32) / 32
 		g, err := gap.New(p)
@@ -462,7 +462,7 @@ func A2Baselines(ctx context.Context, cfg Config) (Table, error) {
 	gapHits, gapEvals := collect(gapRuns)
 	t.AddRow("GAP (hardware operators)", rate(gapHits, n), meanOf(gapEvals), "tournament+1pt+15 flips, no elitism")
 
-	swRuns, err := mapSeeds(ctx, cfg, n, func(i int) (hit, error) {
+	swRuns, err := engine.Map(ctx, cfg.Workers, n, func(i int) (hit, error) {
 		c := evolve.DefaultConfig(int64(cfg.BaseSeed) + 4000 + int64(i))
 		c.MaxEvaluations = budget
 		r, err := evolve.RunCtx(ctx, f, target, c, nil)
@@ -477,21 +477,21 @@ func A2Baselines(ctx context.Context, cfg Config) (Table, error) {
 	swHits, swEvals := collect(swRuns)
 	t.AddRow("software GA (elitism, per-bit mutation)", rate(swHits, n), meanOf(swEvals), "textbook generational GA")
 
-	rsRuns, err := mapSeeds(ctx, cfg, n, func(i int) (hit, error) {
+	rsRuns, err := engine.Map(ctx, cfg.Workers, n, func(i int) (hit, error) {
 		r := evolve.RandomSearch(f, target, budget, int64(cfg.BaseSeed)+5000+int64(i))
 		return hit{ok: r.Converged, evals: float64(r.Evaluations)}, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	hcRuns, err := mapSeeds(ctx, cfg, n, func(i int) (hit, error) {
+	hcRuns, err := engine.Map(ctx, cfg.Workers, n, func(i int) (hit, error) {
 		r := evolve.HillClimber(f, target, budget, int64(cfg.BaseSeed)+6000+int64(i))
 		return hit{ok: r.Converged, evals: float64(r.Evaluations)}, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	saRuns, err := mapSeeds(ctx, cfg, n, func(i int) (hit, error) {
+	saRuns, err := engine.Map(ctx, cfg.Workers, n, func(i int) (hit, error) {
 		r := evolve.SimulatedAnnealing(f, target, budget,
 			evolve.DefaultAnnealConfig(int64(cfg.BaseSeed)+6500+int64(i)))
 		return hit{ok: r.Converged, evals: float64(r.Evaluations)}, nil
@@ -535,7 +535,7 @@ func A3ParamSweep(ctx context.Context, cfg Config) (Table, error) {
 	baseStr := fmt.Sprintf("%.0f", base.Mean)
 
 	sweep := func(name string, value string, mod func(*gap.Params)) error {
-		results, err := mapSeeds(ctx, cfg, n, func(i int) (gap.Result, error) {
+		results, err := engine.Map(ctx, cfg.Workers, n, func(i int) (gap.Result, error) {
 			p := gap.PaperParams(cfg.BaseSeed + 8000 + uint64(i))
 			p.MaxGenerations = 20000 // stagnating settings stop here
 			mod(&p)
@@ -671,7 +671,7 @@ func X1BigGenome(ctx context.Context, cfg Config) (Table, error) {
 	base := stats.Summarize(baseSample)
 
 	ly := genome.Layout{Steps: 4, Legs: 6}
-	results, err := mapSeeds(ctx, cfg, n, func(i int) (gap.Result, error) {
+	results, err := engine.Map(ctx, cfg.Workers, n, func(i int) (gap.Result, error) {
 		p := gap.PaperParams(cfg.BaseSeed + 9500 + uint64(i))
 		p.Layout = ly
 		p.MaxGenerations = 100000

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"leonardo/internal/engine"
 	"leonardo/internal/gap"
 	"leonardo/internal/mcu"
 	"leonardo/internal/stats"
@@ -25,7 +26,7 @@ func A5Processor(ctx context.Context, cfg Config) (Table, error) {
 	n := min(cfg.runs(), 15)
 
 	// Firmware GA on the MCU, seeds in parallel.
-	fw, err := mapSeeds(ctx, cfg, n, func(i int) (mcu.GAResult, error) {
+	fw, err := engine.Map(ctx, cfg.Workers, n, func(i int) (mcu.GAResult, error) {
 		return mcu.RunGA(cfg.BaseSeed+13000+uint64(i), 100000)
 	})
 	if err != nil {
@@ -50,7 +51,7 @@ func A5Processor(ctx context.Context, cfg Config) (Table, error) {
 
 	// Evolvable hardware (behavioural generations, measured circuit
 	// cycle cost), seeds in parallel.
-	hwRuns, err := mapSeeds(ctx, cfg, n, func(i int) (gap.Result, error) {
+	hwRuns, err := engine.Map(ctx, cfg.Workers, n, func(i int) (gap.Result, error) {
 		p := gap.PaperParams(cfg.BaseSeed + 14000 + uint64(i))
 		g, err := gap.New(p)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"leonardo/internal/engine"
 	"leonardo/internal/gait"
 	"leonardo/internal/gap"
 	"leonardo/internal/genome"
@@ -56,7 +57,7 @@ func A6FaultRecovery(ctx context.Context, cfg Config) (Table, error) {
 	n := min(cfg.runs(), 6)
 	obj := damagedObjective{failedLeg: failedLeg, target: int(healthy.DistanceMM)}
 	evolve := func(warm bool, gens int) (stats.Summary, error) {
-		dist, err := mapSeeds(ctx, cfg, n, func(i int) (float64, error) {
+		dist, err := engine.Map(ctx, cfg.Workers, n, func(i int) (float64, error) {
 			p := gap.PaperParams(cfg.BaseSeed + 15000 + uint64(i))
 			p.Objective = obj
 			p.MaxGenerations = gens

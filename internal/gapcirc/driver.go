@@ -155,9 +155,9 @@ func (d *Driver) Event() engine.Event {
 	}
 }
 
-// Results returns the per-lane outcomes (shared slice; valid any time,
+// Result returns the per-lane outcomes (shared slice; valid any time,
 // final once Done reports true).
-func (d *Driver) Results() []LaneResult { return d.res }
+func (d *Driver) Result() []LaneResult { return d.res }
 
 // Best returns the best individual across all lanes — latched results
 // for finished lanes, the live best register otherwise — as an extended

@@ -652,14 +652,17 @@ func (m *Manager) Migrate(b wireBatch) (string, error) {
 	return st, nil
 }
 
-// newClusterRunner constructs this node's shard for a cluster spec.
-// fresh is the Submit path: the run name must be free and any stale
-// inbox state under it is dropped (a new incarnation must not replay an
-// old one's batches). !fresh is the boot path for a queued run that
-// never checkpointed: it ADOPTS the inbox — peers acknowledged those
-// batches before the crash and will never resend them. The boot path
-// runs under m.mu and must not re-take it.
-func (m *Manager) newClusterRunner(spec leonardo.RunSpec, fresh bool) (leonardo.Runner, error) {
+// clusterRunner builds this node's shard for a cluster spec: fresh
+// when snap is nil, else resumed from the run's spool snapshot. fresh
+// is the Submit path: the run name must be free and any stale inbox
+// state under it is dropped (a new incarnation must not replay an old
+// one's batches). The boot paths instead ADOPT the inbox — peers
+// acknowledged those batches before the crash and will never resend
+// them — and run under m.mu, so they must not re-take it. A resumed
+// shard's session watermarks fast-forward to the checkpoint epoch; the
+// epochs after it replay from the durable inbox and from peers'
+// retries.
+func (m *Manager) clusterRunner(spec leonardo.RunSpec, snap []byte, fresh bool) (leonardo.Runner, error) {
 	c := m.cluster
 	if c == nil {
 		return nil, fmt.Errorf("%q runs need a cluster-configured node (start leonardod with -node-id and -peers)", leonardo.KindCluster)
@@ -674,10 +677,23 @@ func (m *Manager) newClusterRunner(spec leonardo.RunSpec, fresh bool) (leonardo.
 	}
 	p := spec.IslandParams()
 	sess := c.openSession(spec.Name, fresh)
-	cr, err := leonardo.NewClusterRun(p, c.shard(), c.transportFor(sess, p.Demes))
+	tr := c.transportFor(sess, p.Demes)
+	if snap == nil {
+		cr, err := leonardo.NewClusterRun(p, c.shard(), tr)
+		if err != nil {
+			return nil, err
+		}
+		return cr, nil
+	}
+	cr, err := leonardo.ResumeCluster(snap, tr)
 	if err != nil {
 		return nil, err
 	}
+	if got, want := cr.Shard(), c.shard(); got != want {
+		return nil, fmt.Errorf("cluster snapshot was taken as shard %d of %d, this node is %d of %d — the fleet shape changed under a live run",
+			got.Index, got.Nodes, want.Index, want.Nodes)
+	}
+	sess.setMark(cr.Epoch())
 	return cr, nil
 }
 
@@ -700,30 +716,4 @@ func (m *Manager) checkClusterNameFree(name string) error {
 		}
 	}
 	return nil
-}
-
-// resumeClusterRunner rebuilds this node's shard from a spool snapshot
-// at boot (reviveLocked path). The session watermarks fast-forward to
-// the checkpoint epoch; the epochs after it replay from the durable
-// inbox and from peers' retries.
-func (m *Manager) resumeClusterRunner(spec leonardo.RunSpec, snap []byte) (leonardo.Runner, error) {
-	c := m.cluster
-	if c == nil {
-		return nil, errors.New("cluster snapshot on a node without cluster configuration")
-	}
-	if !runNameRE.MatchString(spec.Name) {
-		return nil, fmt.Errorf("cluster snapshot with bad run name %q", spec.Name)
-	}
-	p := spec.IslandParams()
-	sess := c.openSession(spec.Name, false)
-	cr, err := leonardo.ResumeCluster(snap, c.transportFor(sess, p.Demes))
-	if err != nil {
-		return nil, err
-	}
-	if got, want := cr.Shard(), c.shard(); got != want {
-		return nil, fmt.Errorf("cluster snapshot was taken as shard %d of %d, this node is %d of %d — the fleet shape changed under a live run",
-			got.Index, got.Nodes, want.Index, want.Nodes)
-	}
-	sess.setMark(cr.Epoch())
-	return cr, nil
 }

@@ -338,45 +338,46 @@ func (m *Manager) reviveLocked(r *run) error {
 	if err != nil {
 		return err
 	}
+	runner, err := m.buildRunner(r.spec, snap, false)
+	if err != nil {
+		return err
+	}
+	r.runner = runner
 	if snap != nil {
-		var runner leonardo.Runner
-		if kind, err := leonardo.SnapshotKind(snap); err == nil && kind == leonardo.KindCluster {
-			runner, err = m.resumeClusterRunner(r.spec, snap)
-			if err != nil {
-				return err
-			}
-		} else {
-			runner, err = leonardo.ResumeAny(snap)
-			if err != nil {
-				return err
-			}
-		}
-		// Worker count is pure scheduling: it is the one knob a resume
-		// does not inherit from the snapshot.
-		if w, ok := runner.(interface{ SetWorkers(int) }); ok {
-			w.SetWorkers(r.spec.Workers)
-		}
-		r.runner = runner
 		r.resumed = true
 		r.snap = snap
 		r.snapHash = h
-	} else if r.spec.Kind == leonardo.KindCluster {
-		runner, err := m.newClusterRunner(r.spec, false)
-		if err != nil {
-			return err
-		}
-		r.runner = runner
-	} else {
-		runner, err := r.spec.NewRunner()
-		if err != nil {
-			return err
-		}
-		r.runner = runner
 	}
 	r.ev = r.runner.Event()
 	r.lastGen = r.ev.Generation
 	r.lastEval = r.ev.Evaluations
 	return nil
+}
+
+// buildRunner is the one place the manager constructs a run's runner:
+// from snap when it is non-nil (boot revive), else fresh from the spec.
+// Cluster specs build this node's shard (clusterRunner); fresh marks a
+// new submission. The boot path runs under m.mu.
+func (m *Manager) buildRunner(spec leonardo.RunSpec, snap []byte, fresh bool) (leonardo.Runner, error) {
+	var runner leonardo.Runner
+	var err error
+	switch {
+	case spec.Kind == leonardo.KindCluster:
+		runner, err = m.clusterRunner(spec, snap, fresh)
+	case snap != nil:
+		runner, err = leonardo.ResumeAny(snap)
+	default:
+		runner, err = spec.NewRunner()
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Worker count is pure scheduling: it is the one knob a resume does
+	// not inherit from the snapshot, so it always comes from the spec.
+	if w, ok := runner.(interface{ SetWorkers(int) }); ok {
+		w.SetWorkers(spec.Workers)
+	}
+	return runner, nil
 }
 
 func unstamp(s string) time.Time {
@@ -406,13 +407,7 @@ func (m *Manager) Submit(spec leonardo.RunSpec) (Info, error) {
 	m.mu.Unlock()
 
 	// Construct outside the lock: circuit specs compile a full netlist.
-	var runner leonardo.Runner
-	var err error
-	if spec.Kind == leonardo.KindCluster {
-		runner, err = m.newClusterRunner(spec, true)
-	} else {
-		runner, err = spec.NewRunner()
-	}
+	runner, err := m.buildRunner(spec, nil, true)
 	if err != nil {
 		return Info{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}

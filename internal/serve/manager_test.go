@@ -339,10 +339,11 @@ func TestSubmitRepertoireRun(t *testing.T) {
 		t.Fatalf("managed snapshot (%d bytes) differs from reference (%d bytes)", len(snap), len(ref))
 	}
 	// The finished archive resumes and answers behaviour queries.
-	run, err := leonardo.ResumeRepertoire(snap)
+	runner, err := leonardo.ResumeAny(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := runner.(*leonardo.RepertoireRun)
 	if filled, total := run.Coverage(); filled < 1 || total != 32 {
 		t.Fatalf("resumed archive coverage %d/%d", filled, total)
 	}

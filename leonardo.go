@@ -93,57 +93,27 @@ func EvolveCtx(ctx context.Context, p Params, obs Observer) (Result, error) {
 // Run is a pausable, resumable handle on a behavioural GAP run: step
 // it one generation at a time, snapshot it to bytes at any generation
 // boundary, and resume the exact run — bit for bit — later or
-// elsewhere.
-type Run struct{ g *gap.GAP }
+// elsewhere with ResumeAny.
+type Run struct {
+	handle[*gap.GAP, Result]
+}
 
 // NewRun starts a fresh evolution run at the given parameters.
-func NewRun(p Params) (*Run, error) {
-	g, err := gap.New(p)
+func NewRun(p Params) (*Run, error) { return wrapRun(gap.New(p)) }
+
+func wrapRun(g *gap.GAP, err error) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Run{g: g}, nil
+	return &Run{handle[*gap.GAP, Result]{g, KindGAP}}, nil
 }
-
-// Resume reconstructs a Run from a Snapshot. The resumed run continues
-// the original random trajectory exactly, so interrupted and
-// uninterrupted runs finish with identical results.
-func Resume(snapshot []byte) (*Run, error) {
-	g, err := gap.Restore(snapshot, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Run{g: g}, nil
-}
-
-// Step advances the run one generation.
-func (r *Run) Step() error { return r.g.Step() }
-
-// Event returns the telemetry of the most recent generation; valid at
-// any generation boundary, including immediately after Resume.
-func (r *Run) Event() Event { return r.g.Event() }
-
-// Kind returns the run's snapshot kind tag, KindGAP.
-func (r *Run) Kind() string { return KindGAP }
-
-// Done reports whether the run has converged or hit its generation cap.
-func (r *Run) Done() bool { return r.g.Done() }
 
 // Generation returns the number of generations completed.
-func (r *Run) Generation() int { return r.g.GenerationNumber() }
+func (r *Run) Generation() int { return r.s.GenerationNumber() }
 
-// Result reports the outcome so far; valid at any generation boundary.
-func (r *Run) Result() Result { return r.g.Result() }
-
-// Snapshot serializes the complete run state (population, RNG,
-// counters, history) to a versioned binary blob for Resume.
-func (r *Run) Snapshot() []byte { return r.g.Snapshot() }
-
-// RunCtx drives the run to completion under ctx, reporting each
-// generation to obs (nil for none).
-func (r *Run) RunCtx(ctx context.Context, obs Observer) (Result, error) {
-	return r.g.RunCtx(ctx, obs)
-}
+// Params returns the run's parameters (for a resumed run, the ones it
+// was started with).
+func (r *Run) Params() Params { return r.s.Params() }
 
 // IslandParams configures an island-model (archipelago) evolution run:
 // N independent demes, each a full GAP with its own CA-RNG stream
@@ -162,78 +132,36 @@ const (
 	IsolatedIslands = island.Isolated
 )
 
-// EvolveIslands runs an archipelago to completion under ctx: every deme
-// advances concurrently (bounded by IslandParams.Workers), migration
-// happens at deterministic barriers, and the run replays bit-identically
-// for any worker count. obs — if non-nil — receives one aggregate Event
-// per epoch.
-func EvolveIslands(ctx context.Context, p IslandParams, obs Observer) (IslandResult, error) {
-	a, err := island.New(p)
-	if err != nil {
-		return IslandResult{}, err
-	}
-	return a.RunCtx(ctx, obs)
-}
-
 // IslandRun is the pausable, resumable handle on an archipelago run,
-// the multi-deme analogue of Run: step it epoch by epoch, snapshot it
-// at any epoch boundary, and resume the exact run bit for bit.
-type IslandRun struct{ a *island.Archipelago }
+// the multi-deme analogue of Run: one Step is one epoch (MigrateEvery
+// generations of every deme, concurrently, then the barrier
+// migration), and the run replays bit-identically for any worker
+// count.
+type IslandRun struct {
+	handle[*island.Archipelago, IslandResult]
+}
 
 // NewIslandRun starts a fresh archipelago at the given parameters.
-func NewIslandRun(p IslandParams) (*IslandRun, error) {
-	a, err := island.New(p)
+func NewIslandRun(p IslandParams) (*IslandRun, error) { return wrapIslandRun(island.New(p)) }
+
+func wrapIslandRun(a *island.Archipelago, err error) (*IslandRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &IslandRun{a: a}, nil
+	return &IslandRun{handle[*island.Archipelago, IslandResult]{a, KindIsland}}, nil
 }
-
-// ResumeIslands reconstructs an IslandRun from a Snapshot. The resumed
-// archipelago continues the original trajectory exactly.
-func ResumeIslands(snapshot []byte) (*IslandRun, error) {
-	a, err := island.Restore(snapshot, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &IslandRun{a: a}, nil
-}
-
-// Step advances every deme by one epoch (MigrateEvery generations) and
-// runs the barrier migration.
-func (r *IslandRun) Step() error { return r.a.Step() }
-
-// Event returns the aggregate telemetry of the most recent epoch.
-func (r *IslandRun) Event() Event { return r.a.Event() }
-
-// Kind returns the run's snapshot kind tag, KindIsland.
-func (r *IslandRun) Kind() string { return KindIsland }
 
 // SetWorkers re-chooses the worker bound for the deme fan-out (0 =
 // GOMAXPROCS). Workers is pure scheduling — it never changes the
 // trajectory — so it is safe to set on a resumed archipelago, and it is
 // the one parameter a resume does not inherit from the snapshot.
-func (r *IslandRun) SetWorkers(n int) { r.a.SetWorkers(n) }
-
-// Done reports whether any deme has converged or exhausted its budget.
-func (r *IslandRun) Done() bool { return r.a.Done() }
+func (r *IslandRun) SetWorkers(n int) { r.s.SetWorkers(n) }
 
 // Epoch returns the number of completed epochs (migration barriers).
-func (r *IslandRun) Epoch() int { return r.a.Epochs() }
+func (r *IslandRun) Epoch() int { return r.s.Epochs() }
 
-// Result reports the archipelago outcome so far; valid at any epoch
-// boundary.
-func (r *IslandRun) Result() IslandResult { return r.a.Result() }
-
-// Snapshot serializes the complete archipelago (every deme plus the
-// migration cursor) to a versioned binary blob for ResumeIslands.
-func (r *IslandRun) Snapshot() []byte { return r.a.Snapshot() }
-
-// RunCtx drives the archipelago to completion under ctx, reporting each
-// epoch to obs (nil for none).
-func (r *IslandRun) RunCtx(ctx context.Context, obs Observer) (IslandResult, error) {
-	return r.a.RunCtx(ctx, obs)
-}
+// Params returns the archipelago's resolved parameters.
+func (r *IslandRun) Params() IslandParams { return r.s.Params() }
 
 // Fitness scores a genome with the paper's three physical rules
 // (equilibrium, symmetry, coherence). The maximum is MaxFitness.
@@ -365,9 +293,9 @@ func Synthesize(registerFile bool) (fpga.Report, error) {
 	return fpga.Map(sys.Core.Circuit, fpga.XC4036EX), nil
 }
 
-// Run kinds — the snapshot kind tags of the three resumable run
-// shapes. They double as the wire values of RunSpec.Kind and as the
-// strings SnapshotKind reports for a checkpoint file.
+// Run kinds — the snapshot kind tags of the six resumable run shapes.
+// They double as the wire values of RunSpec.Kind and as the strings
+// SnapshotKind reports for a checkpoint file.
 const (
 	// KindGAP is a single behavioural GAP population (Run).
 	KindGAP = "gap"
@@ -388,8 +316,9 @@ const (
 )
 
 // Runner is the kind-agnostic handle on a resumable evolution run: Run,
-// IslandRun, CircuitRun, LanePackRun, and RepertoireRun all satisfy it,
-// and it satisfies engine.Stepper, so one engine loop drives any kind.
+// IslandRun, CircuitRun, LanePackRun, RepertoireRun, and ClusterRun all
+// satisfy it, and it satisfies engine.Stepper, so one engine loop
+// drives any kind.
 // Step granularity differs by kind — a generation (gap), an epoch
 // (island), a bounded slice of clock cycles (circuit), or a candidate
 // batch (repertoire) — but the contract is shared: Step
@@ -410,12 +339,62 @@ type Runner interface {
 	Kind() string
 }
 
+// engineRun is what a kind's engine offers its facade handle: the
+// engine loop's Stepper, the snapshot codec, and a result of type R.
+type engineRun[R any] interface {
+	engine.Stepper
+	Snapshot() []byte
+	Result() R
+}
+
+// handle implements Runner, Result, and RunCtx once for every
+// single-process kind: S is the kind's engine and R its result type.
+// Run, IslandRun, CircuitRun, LanePackRun, and RepertoireRun embed it
+// and add only their own accessors.
+type handle[S engineRun[R], R any] struct {
+	s    S
+	kind string
+}
+
+// Step advances one engine step: a generation (gap), an epoch (island,
+// lanepack), a bounded slice of clock cycles (circuit), or a candidate
+// batch (repertoire).
+func (h handle[S, R]) Step() error { return h.s.Step() }
+
+// Done reports whether the run has converged or exhausted its budget.
+func (h handle[S, R]) Done() bool { return h.s.Done() }
+
+// Event returns the telemetry of the most recent step; valid at any
+// step boundary, including immediately after ResumeAny.
+func (h handle[S, R]) Event() Event { return h.s.Event() }
+
+// Snapshot serializes the complete run state to a versioned binary
+// blob for ResumeAny.
+func (h handle[S, R]) Snapshot() []byte { return h.s.Snapshot() }
+
+// Kind returns the run's snapshot kind tag.
+func (h handle[S, R]) Kind() string { return h.kind }
+
+// Result reports the outcome so far; valid at any step boundary.
+func (h handle[S, R]) Result() R { return h.s.Result() }
+
+// RunCtx drives the run to completion under ctx, reporting each step
+// to obs (nil for none). Once ctx ends it stops at the next step
+// boundary and returns the context's error with the valid partial
+// result.
+func (h handle[S, R]) RunCtx(ctx context.Context, obs Observer) (R, error) {
+	err := engine.Run(ctx, h.s, obs)
+	return h.s.Result(), err
+}
+
 // CircuitRun is the pausable, resumable handle on a gate-level run: up
 // to 64 seeds evolve in the bit-parallel lanes of one compiled GAP
-// circuit, and the complete simulator state checkpoints and resumes
-// cycle-identically. It is the third Runner kind, beside Run and
-// IslandRun.
-type CircuitRun struct{ d *gapcirc.Driver }
+// circuit, one Step is a bounded slice of clock cycles, and the
+// complete simulator state checkpoints and resumes cycle-identically.
+// Result returns the per-lane outcomes (final once Done reports true).
+type CircuitRun struct {
+	handle[*gapcirc.Driver, []LaneResult]
+}
 
 // LaneResult is one lane's outcome in a CircuitRun.
 type LaneResult = gapcirc.LaneResult
@@ -426,48 +405,19 @@ type LaneResult = gapcirc.LaneResult
 // maxCycles caps the shared clock as a livelock guard (0 means a
 // generous default).
 func NewCircuitRun(p Params, seeds []uint64, generations, maxCycles int) (*CircuitRun, error) {
-	d, err := gapcirc.NewDriver(p, gapcirc.BuildOpts{}, seeds, generations, maxCycles)
+	return wrapCircuitRun(gapcirc.NewDriver(p, gapcirc.BuildOpts{}, seeds, generations, maxCycles))
+}
+
+func wrapCircuitRun(d *gapcirc.Driver, err error) (*CircuitRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CircuitRun{d: d}, nil
+	return &CircuitRun{handle[*gapcirc.Driver, []LaneResult]{d, KindCircuit}}, nil
 }
-
-// ResumeCircuit reconstructs a CircuitRun from a Snapshot: the circuit
-// is rebuilt from the serialized parameters (construction is
-// deterministic) and the simulator's sequential state is restored, so
-// the continued run is cycle-identical to one that was never
-// interrupted.
-func ResumeCircuit(snapshot []byte) (*CircuitRun, error) {
-	d, err := gapcirc.RestoreDriver(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return &CircuitRun{d: d}, nil
-}
-
-// Step advances the chip a bounded slice of clock cycles.
-func (r *CircuitRun) Step() error { return r.d.Step() }
-
-// Done reports whether every lane has latched its result.
-func (r *CircuitRun) Done() bool { return r.d.Done() }
-
-// Event returns the chip telemetry: the slowest lane's generation, the
-// best fitness across lanes, the shared clock, and lanes finished.
-func (r *CircuitRun) Event() Event { return r.d.Event() }
-
-// Snapshot serializes the driver and the complete simulator state.
-func (r *CircuitRun) Snapshot() []byte { return r.d.Snapshot() }
-
-// Kind returns the run's snapshot kind tag, KindCircuit.
-func (r *CircuitRun) Kind() string { return KindCircuit }
-
-// Results returns the per-lane outcomes (final once Done reports true).
-func (r *CircuitRun) Results() []LaneResult { return r.d.Results() }
 
 // Best returns the best individual across all lanes and its fitness.
 func (r *CircuitRun) Best() (Genome, int) {
-	b, f := r.d.Best()
+	b, f := r.s.Best()
 	return b.Packed(), f
 }
 
@@ -482,72 +432,33 @@ const DefaultLanePackDemes = island.MaxLaneDemes
 // IslandRun. One Step is one epoch for all demes at once — the gate
 // evaluation is one circuit pass per clock cycle regardless of the
 // deme count, which is the whole point.
-type LanePackRun struct{ lp *island.LanePack }
+type LanePackRun struct {
+	handle[*island.LanePack, IslandResult]
+}
 
 // NewLanePackRun starts a fresh lane-packed archipelago. p.Demes must
 // not exceed 64 and p.Base.Objective must be nil (the fitness function
 // is baked into the circuit).
 func NewLanePackRun(p IslandParams) (*LanePackRun, error) {
-	lp, err := island.NewLanePack(p)
+	return wrapLanePackRun(island.NewLanePack(p))
+}
+
+func wrapLanePackRun(lp *island.LanePack, err error) (*LanePackRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LanePackRun{lp: lp}, nil
+	return &LanePackRun{handle[*island.LanePack, IslandResult]{lp, KindLanePack}}, nil
 }
-
-// ResumeLanePack reconstructs a LanePackRun from a Snapshot. The
-// resumed archipelago continues the original trajectory exactly.
-func ResumeLanePack(snapshot []byte) (*LanePackRun, error) {
-	lp, err := island.RestoreLanePack(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return &LanePackRun{lp: lp}, nil
-}
-
-// EvolveLanePack runs a lane-packed archipelago to completion under
-// ctx; obs — if non-nil — receives one aggregate Event per epoch.
-func EvolveLanePack(ctx context.Context, p IslandParams, obs Observer) (IslandResult, error) {
-	lp, err := island.NewLanePack(p)
-	if err != nil {
-		return IslandResult{}, err
-	}
-	return lp.RunCtx(ctx, obs)
-}
-
-// Step advances every lane deme by one epoch (MigrateEvery
-// generations) and runs the barrier migration.
-func (r *LanePackRun) Step() error { return r.lp.Step() }
-
-// Event returns the aggregate telemetry of the most recent epoch.
-func (r *LanePackRun) Event() Event { return r.lp.Event() }
-
-// Kind returns the run's snapshot kind tag, KindLanePack.
-func (r *LanePackRun) Kind() string { return KindLanePack }
 
 // SetWorkers re-chooses the worker bound for the per-deme bookkeeping
 // fan-out (0 = GOMAXPROCS); never affects the trajectory.
-func (r *LanePackRun) SetWorkers(n int) { r.lp.SetWorkers(n) }
-
-// Done reports whether the generation budget is exhausted.
-func (r *LanePackRun) Done() bool { return r.lp.Done() }
+func (r *LanePackRun) SetWorkers(n int) { r.s.SetWorkers(n) }
 
 // Epoch returns the number of completed epochs (migration barriers).
-func (r *LanePackRun) Epoch() int { return r.lp.Archipelago().Epochs() }
+func (r *LanePackRun) Epoch() int { return r.s.Epochs() }
 
-// Result reports the archipelago outcome so far; valid at any epoch
-// boundary.
-func (r *LanePackRun) Result() IslandResult { return r.lp.Result() }
-
-// Snapshot serializes the archipelago header plus the single shared
-// simulator state for ResumeLanePack.
-func (r *LanePackRun) Snapshot() []byte { return r.lp.Snapshot() }
-
-// RunCtx drives the archipelago to completion under ctx, reporting
-// each epoch to obs (nil for none).
-func (r *LanePackRun) RunCtx(ctx context.Context, obs Observer) (IslandResult, error) {
-	return r.lp.RunCtx(ctx, obs)
-}
+// Params returns the archipelago's resolved parameters.
+func (r *LanePackRun) Params() IslandParams { return r.s.Params() }
 
 // RepertoireParams configures a quality-diversity repertoire run: a
 // MAP-Elites grid over final heading (circular, in [-π, π)) crossed
@@ -569,91 +480,49 @@ type RepertoireElite = repertoire.Elite
 // repertoire (pure geometry: binning and cell centers).
 type RepertoireGrid = repertoire.Grid
 
-// EvolveRepertoire runs a MAP-Elites repertoire to its evaluation
-// budget under ctx: candidates evaluate concurrently (bounded by
-// RepertoireParams.Workers) through the packed-LUT fitness fast path
-// and the rigid-motion descriptor fit, and the run replays
-// bit-identically for any worker count. obs — if non-nil — receives
-// one aggregate Event per batch.
-func EvolveRepertoire(ctx context.Context, p RepertoireParams, obs Observer) (RepertoireResult, error) {
-	r, err := repertoire.New(p)
-	if err != nil {
-		return RepertoireResult{}, err
-	}
-	return r.RunCtx(ctx, obs)
+// RepertoireRun is the pausable, resumable handle on a MAP-Elites
+// repertoire run: one Step plans, evaluates, and commits a batch of
+// candidates — concurrently (bounded by RepertoireParams.Workers)
+// through the packed-LUT fitness fast path and the rigid-motion
+// descriptor fit — and the run replays bit-identically for any worker
+// count. Once filled, the archive answers O(1) behaviour queries
+// through Lookup.
+type RepertoireRun struct {
+	handle[*repertoire.Repertoire, RepertoireResult]
 }
-
-// RepertoireRun is the pausable, resumable handle on a repertoire run:
-// step it one batch at a time, snapshot it at any batch boundary, and
-// resume the exact run bit for bit. Once filled, the archive answers
-// O(1) behaviour queries through Lookup.
-type RepertoireRun struct{ r *repertoire.Repertoire }
 
 // NewRepertoireRun starts a fresh repertoire at the given parameters.
 func NewRepertoireRun(p RepertoireParams) (*RepertoireRun, error) {
-	r, err := repertoire.New(p)
+	return wrapRepertoireRun(repertoire.New(p))
+}
+
+func wrapRepertoireRun(rep *repertoire.Repertoire, err error) (*RepertoireRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RepertoireRun{r: r}, nil
+	return &RepertoireRun{handle[*repertoire.Repertoire, RepertoireResult]{rep, KindRepertoire}}, nil
 }
-
-// ResumeRepertoire reconstructs a RepertoireRun from a Snapshot. The
-// resumed run continues the original trajectory exactly.
-func ResumeRepertoire(snapshot []byte) (*RepertoireRun, error) {
-	r, err := repertoire.Restore(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	return &RepertoireRun{r: r}, nil
-}
-
-// Step plans, evaluates, and commits one batch of candidates.
-func (r *RepertoireRun) Step() error { return r.r.Step() }
-
-// Event returns the aggregate telemetry of the most recent batch.
-func (r *RepertoireRun) Event() Event { return r.r.Event() }
-
-// Kind returns the run's snapshot kind tag, KindRepertoire.
-func (r *RepertoireRun) Kind() string { return KindRepertoire }
 
 // SetWorkers re-chooses the worker bound for the batch evaluation
 // fan-out (0 = GOMAXPROCS); pure scheduling, never affects the archive.
-func (r *RepertoireRun) SetWorkers(n int) { r.r.SetWorkers(n) }
-
-// Done reports whether the evaluation budget is exhausted.
-func (r *RepertoireRun) Done() bool { return r.r.Done() }
+func (r *RepertoireRun) SetWorkers(n int) { r.s.SetWorkers(n) }
 
 // Batches returns the number of completed batches.
-func (r *RepertoireRun) Batches() int { return r.r.Batches() }
+func (r *RepertoireRun) Batches() int { return r.s.Batches() }
 
 // Coverage returns the occupied and total cell counts.
-func (r *RepertoireRun) Coverage() (filled, total int) { return r.r.Coverage() }
+func (r *RepertoireRun) Coverage() (filled, total int) { return r.s.Coverage() }
 
 // Lookup returns the elite whose cell contains the queried behaviour —
 // final heading in radians and per-cycle stride displacement in mm —
 // in O(1). ok is false when the descriptors fall outside the grid or
 // the cell is still empty.
 func (r *RepertoireRun) Lookup(headingRad, strideMM float64) (RepertoireElite, bool) {
-	return r.r.Lookup(headingRad, strideMM)
+	return r.s.Lookup(headingRad, strideMM)
 }
 
 // Elites returns every occupied cell's elite in canonical cell order.
-func (r *RepertoireRun) Elites() []RepertoireElite { return r.r.Elites() }
-
-// Result reports the repertoire outcome so far; valid at any batch
-// boundary.
-func (r *RepertoireRun) Result() RepertoireResult { return r.r.Result() }
-
-// Snapshot serializes the complete run state (parameters, RNG, work
-// counters, every elite) for ResumeRepertoire.
-func (r *RepertoireRun) Snapshot() []byte { return r.r.Snapshot() }
-
-// RunCtx drives the repertoire to its evaluation budget under ctx,
-// reporting each batch to obs (nil for none).
-func (r *RepertoireRun) RunCtx(ctx context.Context, obs Observer) (RepertoireResult, error) {
-	return r.r.RunCtx(ctx, obs)
-}
+func (r *RepertoireRun) Elites() []RepertoireElite { return r.s.Elites() }
 
 // RunSpec is the serialized, kind-tagged description of any run the
 // facade can construct — the wire format of leonardod's POST /v1/runs
@@ -662,7 +531,7 @@ func (r *RepertoireRun) RunCtx(ctx context.Context, obs Observer) (RepertoireRes
 // for the GA knobs), so {"kind":"gap","seed":1} is a complete spec.
 type RunSpec struct {
 	// Kind selects the run shape: KindGAP, KindIsland, KindCircuit,
-	// KindLanePack, or KindCluster.
+	// KindLanePack, KindRepertoire, or KindCluster.
 	Kind string `json:"kind"`
 	// Name identifies a KindCluster run fleet-wide: the same spec —
 	// same name included — must be submitted to every node, and the
@@ -777,39 +646,14 @@ func (s RunSpec) IslandParams() IslandParams {
 // Parameter errors come back from the underlying constructors with the
 // field that failed.
 func (s RunSpec) NewRunner() (Runner, error) {
-	switch s.Kind {
-	case KindGAP:
-		return NewRun(s.base())
-	case KindIsland:
-		return NewIslandRun(s.IslandParams())
-	case KindLanePack:
-		p := s.IslandParams()
-		if p.Demes == 0 {
-			p.Demes = DefaultLanePackDemes
-		}
-		return NewLanePackRun(p)
-	case KindCluster:
-		return nil, fmt.Errorf("leonardo: %q runs shard one archipelago across a leonardod fleet; submit the spec to every cluster-configured node (or use NewClusterRun with an explicit shard and transport)", KindCluster)
-	case KindCircuit:
-		if s.Generations <= 0 {
-			return nil, fmt.Errorf("leonardo: circuit run needs generations > 0, got %d", s.Generations)
-		}
-		seeds := s.Seeds
-		if len(seeds) == 0 {
-			seeds = []uint64{s.Seed}
-		}
-		return NewCircuitRun(s.base(), seeds, s.Generations, s.MaxCycles)
-	case KindRepertoire:
-		p, err := s.RepertoireParams()
-		if err != nil {
-			return nil, err
-		}
-		return NewRepertoireRun(p)
-	case "":
-		return nil, fmt.Errorf("leonardo: run spec has no kind (want %q, %q, %q, %q, or %q)", KindGAP, KindIsland, KindCircuit, KindLanePack, KindRepertoire)
-	default:
-		return nil, fmt.Errorf("leonardo: unknown run kind %q (want %q, %q, %q, %q, or %q)", s.Kind, KindGAP, KindIsland, KindCircuit, KindLanePack, KindRepertoire)
+	k, ok := kinds[s.Kind]
+	if !ok && s.Kind == "" {
+		return nil, fmt.Errorf("leonardo: run spec has no kind (want %s)", runnableKinds)
 	}
+	if !ok {
+		return nil, fmt.Errorf("leonardo: unknown run kind %q (want %s)", s.Kind, runnableKinds)
+	}
+	return k.fromSpec(s)
 }
 
 // SnapshotKind reports the kind tag of a snapshot without decoding its
@@ -822,27 +666,89 @@ func SnapshotKind(snapshot []byte) (string, error) {
 }
 
 // ResumeAny reconstructs a Runner of whatever kind the snapshot header
-// names. The resumed run continues the original trajectory exactly,
+// names; assert the concrete type (*Run, *IslandRun, ...) for its
+// accessors. The resumed run continues the original trajectory exactly,
 // whichever kind it is.
 func ResumeAny(snapshot []byte) (Runner, error) {
 	kind, err := engine.SnapshotKind(snapshot)
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case KindGAP:
-		return Resume(snapshot)
-	case KindIsland:
-		return ResumeIslands(snapshot)
-	case KindCircuit:
-		return ResumeCircuit(snapshot)
-	case KindLanePack:
-		return ResumeLanePack(snapshot)
-	case KindRepertoire:
-		return ResumeRepertoire(snapshot)
-	case KindCluster:
-		return nil, fmt.Errorf("leonardo: %q snapshots are one node's shard of a distributed run; resume with ResumeCluster and a migration transport, or merge the fleet's shards with MergeClusterSnapshots first", kind)
-	default:
+	k, ok := kinds[kind]
+	if !ok {
 		return nil, fmt.Errorf("leonardo: unsupported snapshot kind %q", kind)
 	}
+	return k.resume(snapshot)
+}
+
+// kindOps builds one run kind: fresh from a RunSpec, or resumed from a
+// snapshot of that kind.
+type kindOps struct {
+	fromSpec func(RunSpec) (Runner, error)
+	resume   func([]byte) (Runner, error)
+}
+
+// kinds is the one place the facade dispatches on run kind.
+var kinds = map[string]kindOps{
+	KindGAP: {
+		fromSpec: func(s RunSpec) (Runner, error) { return runner(NewRun(s.base())) },
+		resume:   func(b []byte) (Runner, error) { return runner(wrapRun(gap.Restore(b, nil))) },
+	},
+	KindIsland: {
+		fromSpec: func(s RunSpec) (Runner, error) { return runner(NewIslandRun(s.IslandParams())) },
+		resume:   func(b []byte) (Runner, error) { return runner(wrapIslandRun(island.Restore(b, nil))) },
+	},
+	KindLanePack: {
+		fromSpec: func(s RunSpec) (Runner, error) {
+			p := s.IslandParams()
+			if p.Demes == 0 {
+				p.Demes = DefaultLanePackDemes
+			}
+			return runner(NewLanePackRun(p))
+		},
+		resume: func(b []byte) (Runner, error) { return runner(wrapLanePackRun(island.RestoreLanePack(b))) },
+	},
+	KindCircuit: {
+		fromSpec: func(s RunSpec) (Runner, error) {
+			if s.Generations <= 0 {
+				return nil, fmt.Errorf("leonardo: circuit run needs generations > 0, got %d", s.Generations)
+			}
+			seeds := s.Seeds
+			if len(seeds) == 0 {
+				seeds = []uint64{s.Seed}
+			}
+			return runner(NewCircuitRun(s.base(), seeds, s.Generations, s.MaxCycles))
+		},
+		resume: func(b []byte) (Runner, error) { return runner(wrapCircuitRun(gapcirc.RestoreDriver(b))) },
+	},
+	KindRepertoire: {
+		fromSpec: func(s RunSpec) (Runner, error) {
+			p, err := s.RepertoireParams()
+			if err != nil {
+				return nil, err
+			}
+			return runner(NewRepertoireRun(p))
+		},
+		resume: func(b []byte) (Runner, error) { return runner(wrapRepertoireRun(repertoire.Restore(b))) },
+	},
+	KindCluster: {
+		fromSpec: func(RunSpec) (Runner, error) {
+			return nil, fmt.Errorf("leonardo: %q runs shard one archipelago across a leonardod fleet; submit the spec to every cluster-configured node (or use NewClusterRun with an explicit shard and transport)", KindCluster)
+		},
+		resume: func([]byte) (Runner, error) {
+			return nil, fmt.Errorf("leonardo: %q snapshots are one node's shard of a distributed run; resume with ResumeCluster and a migration transport, or merge the fleet's shards with MergeClusterSnapshots first", KindCluster)
+		},
+	},
+}
+
+// runnableKinds lists the kinds NewRunner builds, for its errors.
+var runnableKinds = fmt.Sprintf("%q, %q, %q, %q, or %q", KindGAP, KindIsland, KindCircuit, KindLanePack, KindRepertoire)
+
+// runner returns r as a Runner, or a nil Runner with err: returning a
+// nil *Run through the interface would hand out a non-nil Runner.
+func runner[T Runner](r T, err error) (Runner, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }

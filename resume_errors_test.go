@@ -39,10 +39,19 @@ func snapshotOfKind(t *testing.T, kind string) []byte {
 	return nil
 }
 
+// resumeAs resumes a snapshot through the kind table's entry for kind,
+// bypassing ResumeAny's header dispatch, so a snapshot of another kind
+// reaches that kind's decoder.
+func resumeAs(kind string) func([]byte) error {
+	return func(b []byte) error { _, err := kinds[kind].resume(b); return err }
+}
+
 // TestResumeErrorPaths pins the facade's resume boundary: every resume
 // entry point rejects snapshots of the wrong kind, truncated input, and
 // foreign bytes with a descriptive error — never a panic, never a
-// zero-value run.
+// zero-value run. The per-kind cases go through resumeAs; their names
+// are those of the typed resume functions the kind table replaced
+// (Resume: gap, ResumeIslands: island, ResumeCircuit: gapcirc).
 func TestResumeErrorPaths(t *testing.T) {
 	gapSnap := snapshotOfKind(t, KindGAP)
 	islandSnap := snapshotOfKind(t, KindIsland)
@@ -56,23 +65,17 @@ func TestResumeErrorPaths(t *testing.T) {
 		wantIs  error  // sentinel the error must wrap (nil = skip)
 	}{
 		{"Resume on island snapshot",
-			func(b []byte) error { _, err := Resume(b); return err },
-			islandSnap, "snapshot kind", nil},
+			resumeAs(KindGAP), islandSnap, "snapshot kind", nil},
 		{"Resume on circuit snapshot",
-			func(b []byte) error { _, err := Resume(b); return err },
-			circuitSnap, "snapshot kind", nil},
+			resumeAs(KindGAP), circuitSnap, "snapshot kind", nil},
 		{"ResumeIslands on gap snapshot",
-			func(b []byte) error { _, err := ResumeIslands(b); return err },
-			gapSnap, "snapshot kind", nil},
+			resumeAs(KindIsland), gapSnap, "snapshot kind", nil},
 		{"ResumeCircuit on island snapshot",
-			func(b []byte) error { _, err := ResumeCircuit(b); return err },
-			islandSnap, "snapshot kind", nil},
+			resumeAs(KindCircuit), islandSnap, "snapshot kind", nil},
 		{"Resume on empty input",
-			func(b []byte) error { _, err := Resume(b); return err },
-			nil, "truncated", engine.ErrTruncated},
+			resumeAs(KindGAP), nil, "truncated", engine.ErrTruncated},
 		{"ResumeIslands on empty input",
-			func(b []byte) error { _, err := ResumeIslands(b); return err },
-			nil, "truncated", engine.ErrTruncated},
+			resumeAs(KindIsland), nil, "truncated", engine.ErrTruncated},
 		{"ResumeAny on empty input",
 			func(b []byte) error { _, err := ResumeAny(b); return err },
 			nil, "truncated", engine.ErrTruncated},
@@ -118,20 +121,69 @@ func TestResumeIslandsCorruptedDemeBlob(t *testing.T) {
 	}
 	corrupt := bytes.Clone(snap)
 	corrupt[at] ^= 0xff
-	_, err := ResumeIslands(corrupt)
+	_, err := ResumeAny(corrupt)
 	if err == nil {
-		t.Fatal("ResumeIslands accepted a corrupted deme blob")
+		t.Fatal("ResumeAny accepted a corrupted deme blob")
 	}
 	if !strings.Contains(err.Error(), "deme") && !errors.Is(err, engine.ErrBadMagic) {
 		t.Fatalf("corrupted deme error %q names neither the deme nor the magic failure", err)
 	}
 
 	// Truncating inside the nested blob must also fail cleanly.
-	_, err = ResumeIslands(snap[:at+4])
+	_, err = ResumeAny(snap[:at+4])
 	if err == nil {
-		t.Fatal("ResumeIslands accepted a snapshot truncated mid-deme")
+		t.Fatal("ResumeAny accepted a snapshot truncated mid-deme")
 	}
 	if !errors.Is(err, engine.ErrTruncated) {
 		t.Fatalf("mid-deme truncation error %v does not wrap ErrTruncated", err)
+	}
+}
+
+// TestRunnerNilOnError: NewRunner and ResumeAny return a nil Runner on
+// every error path, for every kind — never a non-nil interface holding
+// a nil run pointer, which would pass a runner != nil check and panic
+// on first use.
+func TestRunnerNilOnError(t *testing.T) {
+	bad := []RunSpec{
+		{Kind: KindGAP, Seed: 1, Population: 3},
+		{Kind: KindIsland, Seed: 1, Islands: 2, Population: 3},
+		{Kind: KindLanePack, Seed: 1, Islands: 2, Population: 3},
+		{Kind: KindCircuit, Seed: 1, Population: 3, Generations: 2},
+		{Kind: KindCircuit, Seed: 1},
+		{Kind: KindRepertoire, Seed: 1, Batch: -1},
+		{Kind: KindRepertoire, Seed: 1, Grid: "8by4"},
+		{Kind: KindCluster, Seed: 1},
+		{Kind: "mystery"},
+		{},
+	}
+	for i, spec := range bad {
+		r, err := spec.NewRunner()
+		if err == nil {
+			t.Errorf("bad spec %d (%q): NewRunner accepted it", i, spec.Kind)
+		}
+		if r != nil {
+			t.Errorf("bad spec %d (%q): NewRunner returned %T alongside error %v, want a nil Runner", i, spec.Kind, r, err)
+		}
+	}
+
+	for _, spec := range []RunSpec{
+		{Kind: KindGAP, Seed: 1, Population: 8, MaxGenerations: 5},
+		{Kind: KindIsland, Seed: 1, Islands: 2, Population: 8, MaxGenerations: 5},
+		{Kind: KindLanePack, Seed: 1, Islands: 2, Population: 8, MaxGenerations: 5},
+		{Kind: KindCircuit, Seed: 1, Population: 8, Generations: 2},
+		{Kind: KindRepertoire, Seed: 1, Grid: "4x2", Batch: 8, Evaluations: 16},
+	} {
+		run, err := spec.NewRunner()
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Kind, err)
+		}
+		snap := run.Snapshot()
+		r, err := ResumeAny(snap[:len(snap)-7])
+		if err == nil {
+			t.Errorf("%s: ResumeAny accepted a truncated snapshot", spec.Kind)
+		}
+		if r != nil {
+			t.Errorf("%s: ResumeAny returned %T alongside error %v, want a nil Runner", spec.Kind, r, err)
+		}
 	}
 }
