@@ -38,6 +38,23 @@ const (
 
 const stateBits = 4
 
+// genBits is the width of the chip's generation counter. A generation
+// target at or past 1<<genBits can never read on the counter.
+const genBits = 16
+
+// checkGenerations rejects generation targets the counter cannot
+// reach, before any clock cycle is spent chasing them.
+func checkGenerations(n int) error {
+	if n < 0 {
+		return fmt.Errorf("gapcirc: negative generation target %d", n)
+	}
+	if n >= 1<<genBits {
+		return fmt.Errorf("gapcirc: generation target %d exceeds the %d-bit generation counter (at most %d)",
+			n, genBits, 1<<genBits-1)
+	}
+	return nil
+}
+
 // BuildOpts selects implementation variants of the GAP circuit.
 type BuildOpts struct {
 	// RegisterFile stores the two populations in flip-flops with
@@ -169,7 +186,7 @@ func BuildWith(p gap.Params, opts BuildOpts) (*Core, error) {
 	pairCnt := c.Counter(idxBits, gate(in[StW2]), swapG)
 	mutCntBits := bits.Len(uint(maxInt(p.MutationsPerGeneration, 1)))
 	mutCnt := c.Counter(mutCntBits, gate(in[StMutW]), swapG)
-	gen := c.Counter(16, swapG, logic.Const0)
+	gen := c.Counter(genBits, swapG, logic.Const0)
 
 	// --- architectural flags and index registers ---
 	// tsel: which parent the running tournament feeds; toggles each
@@ -409,8 +426,12 @@ func BuildWith(p gap.Params, opts BuildOpts) (*Core, error) {
 // RunGenerations steps the simulator until the circuit has completed n
 // generations (the generation counter reads n and the evaluation scan
 // has finished), returning the clock cycles consumed. maxCycles guards
-// against livelock; 0 means a generous default.
+// against livelock; 0 means a generous default. n must fit the 16-bit
+// generation counter.
 func (co *Core) RunGenerations(s *logic.Sim, n int, maxCycles int) (uint64, error) {
+	if err := checkGenerations(n); err != nil {
+		return 0, err
+	}
 	if maxCycles == 0 {
 		maxCycles = 2_000_000
 	}

@@ -184,7 +184,7 @@ func (g *LaneDemes) advanceLocked() error {
 		s.SetLane(co.Freeze, l, false)
 		all |= 1 << uint(l)
 	}
-	target := uint64(g.gen+1) & (1<<16 - 1)
+	target := uint64(g.gen+1) & (1<<genBits - 1)
 	frozen := uint64(0)
 	limit := s.Cycles() + laneDemeMaxCyclesPerGen
 	for {

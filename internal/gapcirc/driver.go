@@ -3,6 +3,7 @@ package gapcirc
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"leonardo/internal/engine"
 	"leonardo/internal/gap"
@@ -23,7 +24,7 @@ type Driver struct {
 	generations int // per-lane target
 	maxCycles   uint64
 	res         []LaneResult
-	remaining   int
+	running     uint64 // lanes that have not latched their result
 }
 
 // driverStride is how many clock cycles one engine Step executes. A
@@ -68,8 +69,8 @@ func newDriver(co *Core, s *logic.Sim, seeds []uint64, generations, maxCycles in
 	if co.Opts.Freezable {
 		return nil, fmt.Errorf("gapcirc: the driver never freezes lanes; freezable circuits belong to the lane-deme group (NewLaneDemes)")
 	}
-	if generations < 0 {
-		return nil, fmt.Errorf("gapcirc: negative generation target %d", generations)
+	if err := checkGenerations(generations); err != nil {
+		return nil, err
 	}
 	if maxCycles == 0 {
 		maxCycles = defaultMaxCycles
@@ -80,7 +81,7 @@ func newDriver(co *Core, s *logic.Sim, seeds []uint64, generations, maxCycles in
 		generations: generations,
 		maxCycles:   uint64(maxCycles),
 		res:         make([]LaneResult, len(seeds)),
-		remaining:   len(seeds),
+		running:     laneSet(len(seeds)),
 	}
 	for l, seed := range seeds {
 		co.SeedLane(s, l, seed)
@@ -90,20 +91,27 @@ func newDriver(co *Core, s *logic.Sim, seeds []uint64, generations, maxCycles in
 	return d, nil
 }
 
-// check scans the unfinished lanes for the completion predicate and
-// latches their results the cycle they finish.
+// laneSet is the mask of lanes 0..n-1.
+func laneSet(n int) uint64 {
+	if n >= logic.Lanes {
+		return ^uint64(0)
+	}
+	return 1<<uint(n) - 1
+}
+
+// check latches the result of every running lane that meets the
+// completion predicate this cycle — Gen reads the target and the FSM
+// sits at StSelI1, the barrier LaneDemes.advanceLocked also uses —
+// found with one all-lanes bus compare per bus.
 func (d *Driver) check() {
-	for l := range d.res {
-		if d.res[l].Done {
-			continue
-		}
-		if d.sim.GetBusLane(d.core.Gen, l) == uint64(d.generations) &&
-			d.sim.GetBusLane(d.core.State, l) == StSelI1 {
-			d.res[l].Best, d.res[l].BestFit = d.core.BestOfLane(d.sim, l)
-			d.res[l].Cycles = d.sim.Cycles()
-			d.res[l].Done = true
-			d.remaining--
-		}
+	s, co := d.sim, d.core
+	m := s.BusEqMask(co.Gen, uint64(d.generations)) & s.BusEqMask(co.State, StSelI1) & d.running
+	d.running &^= m
+	for ; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		d.res[l].Best, d.res[l].BestFit = co.BestOfLane(s, l)
+		d.res[l].Cycles = s.Cycles()
+		d.res[l].Done = true
 	}
 }
 
@@ -112,10 +120,10 @@ func (d *Driver) check() {
 // RunSeeds always did. It fails if the clock hits the livelock guard
 // with lanes still running.
 func (d *Driver) Step() error {
-	for i := 0; i < driverStride && d.remaining > 0; i++ {
+	for i := 0; i < driverStride && d.running != 0; i++ {
 		if d.sim.Cycles() >= d.maxCycles {
 			return fmt.Errorf("gapcirc: %d of %d lanes did not reach generation %d within %d cycles",
-				d.remaining, len(d.res), d.generations, d.maxCycles)
+				bits.OnesCount64(d.running), len(d.res), d.generations, d.maxCycles)
 		}
 		d.sim.Step()
 		d.check()
@@ -125,7 +133,7 @@ func (d *Driver) Step() error {
 
 // Done implements engine.Stepper: the run is over when every lane has
 // latched its result.
-func (d *Driver) Done() bool { return d.remaining == 0 }
+func (d *Driver) Done() bool { return d.running == 0 }
 
 // Event implements engine.Stepper. Generation is the slowest
 // still-running lane's counter (or the target when all are done);
@@ -151,7 +159,7 @@ func (d *Driver) Event() engine.Event {
 		Generation: gen,
 		BestEver:   best,
 		Cycle:      d.sim.Cycles(),
-		LanesDone:  len(d.res) - d.remaining,
+		LanesDone:  len(d.res) - bits.OnesCount64(d.running),
 	}
 }
 
@@ -257,8 +265,11 @@ func RestoreDriver(data []byte) (*Driver, error) {
 	if nLanes < 1 || nLanes > logic.Lanes {
 		return nil, fmt.Errorf("gapcirc: snapshot has %d lanes", nLanes)
 	}
+	if err := checkGenerations(generations); err != nil {
+		return nil, err
+	}
 	res := make([]LaneResult, nLanes)
-	remaining := nLanes
+	running := uint64(0)
 	for l := range res {
 		res[l] = LaneResult{
 			Seed:    dec.U64(),
@@ -267,8 +278,8 @@ func RestoreDriver(data []byte) (*Driver, error) {
 			Cycles:  dec.U64(),
 			Done:    dec.Bool(),
 		}
-		if res[l].Done {
-			remaining--
+		if !res[l].Done {
+			running |= 1 << uint(l)
 		}
 	}
 	st, err := logic.DecodeSimState(dec)
@@ -296,6 +307,6 @@ func RestoreDriver(data []byte) (*Driver, error) {
 		generations: generations,
 		maxCycles:   maxCycles,
 		res:         res,
-		remaining:   remaining,
+		running:     running,
 	}, nil
 }

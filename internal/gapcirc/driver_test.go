@@ -3,6 +3,7 @@ package gapcirc
 import (
 	"context"
 	"errors"
+	"math/bits"
 	"testing"
 
 	"leonardo/internal/engine"
@@ -13,6 +14,32 @@ func testDriverParams() gap.Params {
 	p := gap.PaperParams(1)
 	p.PopulationSize = 8
 	return p
+}
+
+// TestGenerationTargetBeyondCounter: the generation counter is 16 bits
+// wide, so a target of 1<<16 or more can never match it. Such a run
+// must fail at construction instead of clocking until its cycle cap.
+func TestGenerationTargetBeyondCounter(t *testing.T) {
+	p := testDriverParams()
+	for _, gens := range []int{1 << 16, 70000, -1} {
+		if _, err := NewDriver(p, BuildOpts{}, []uint64{1}, gens, 1<<40); err == nil {
+			t.Errorf("NewDriver accepted generation target %d", gens)
+		}
+	}
+	if _, err := NewDriver(p, BuildOpts{}, []uint64{1}, 1<<16-1, 0); err != nil {
+		t.Errorf("NewDriver rejected the largest countable target: %v", err)
+	}
+	co, err := Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := co.Circuit.MustCompile()
+	if _, err := co.RunGenerations(sim, 1<<16, 0); err == nil {
+		t.Error("RunGenerations accepted generation target 1<<16")
+	}
+	if sim.Cycles() != 0 {
+		t.Errorf("rejected target still ran %d cycles", sim.Cycles())
+	}
 }
 
 // TestDriverMatchesRunSeeds pins the refactor: driving the lane-packed
@@ -111,12 +138,12 @@ func TestDriverSnapshotWithFinishedLanes(t *testing.T) {
 		if err := d.Step(); err != nil {
 			t.Fatal(err)
 		}
-		done := len(d.res) - d.remaining
+		done := len(d.res) - bits.OnesCount64(d.running)
 		if done >= 1 && done < len(seeds) {
 			break
 		}
 	}
-	if d.Done() || d.remaining == len(seeds) {
+	if d.Done() || d.running == laneSet(len(seeds)) {
 		t.Skip("all lanes finished in lockstep; cannot test a partial checkpoint")
 	}
 	snap := d.Snapshot()

@@ -3,8 +3,8 @@ package logic
 import "testing"
 
 // TestAllocsHotpath pins the //leo:hotpath contract of the SWAR
-// kernel: settle, ramDecode, and Step run once per simulated clock
-// cycle across all 64 lanes and must never touch the heap.
+// kernel: settle, ramRead, ramDecode, and Step run once per simulated
+// clock cycle across all 64 lanes and must never touch the heap.
 func TestAllocsHotpath(t *testing.T) {
 	c := New()
 	addr := c.InputBus("addr", 4)

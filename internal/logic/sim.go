@@ -1,9 +1,6 @@
 package logic
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Lanes is the number of independent circuit instances one Sim
 // evaluates per pass. Every signal's value is a 64-bit vector with one
@@ -15,8 +12,8 @@ const Lanes = 64
 // Sim is a compiled, runnable circuit holding 64 independent instances
 // (lanes) that share the circuit structure and the clock but have
 // per-lane inputs, flip-flop state, and RAM contents. It evaluates all
-// combinational logic in levelized order, then commits flip-flops and
-// RAM writes on each Step (one clock cycle).
+// combinational logic by running the program Compile built, then
+// commits flip-flops and RAM writes on each Step (one clock cycle).
 //
 // The scalar API (Set, Get, GetBus, ReadRAM, ...) is lane-transparent:
 // writers broadcast to every lane and readers return lane 0, so code
@@ -25,17 +22,37 @@ const Lanes = 64
 // (e.g. broadcast the clocked control inputs, then diverge the lanes
 // by seeding their state differently).
 type Sim struct {
-	c        *Circuit
-	val      []uint64 // per node: 64 lanes
-	state    []uint64 // DFF state, indexed by node
-	order    []Signal
-	dffs     []int32    // nodes of kind kDFF, in index order
-	initMask []uint64   // per node: all-ones if the DFF resets to 1
-	mems     [][]uint64 // per RAM: lane vector per (word, bit), index word*width+bit
-	dec      [][]uint64 // per RAM: per-word lane address-decode masks
-	decOK    []bool     // per RAM: dec valid for the current settled values
-	dirty    bool
-	cycles   uint64
+	c      *Circuit
+	val    []uint64   // per node: 64 lanes
+	state  []uint64   // DFF state, indexed by node
+	dffs   []int32    // nodes of kind kDFF, in index order
+	prog   []op       // combinational gates and RAM reads, level by level
+	runs   []opRun    // prog cut into single-kind runs, in evaluation order
+	commit []dffOp    // per flip-flop, in dffs order: the clock-edge update
+	mems   [][]uint64 // per RAM: lane vector per (word, bit), index word*width+bit
+	dec    [][]uint64 // per RAM: per-word lane address-decode masks
+	acc    [][]uint64 // per RAM: lane vector per data bit, for the row-wise read
+	dirty  bool
+	cycles uint64
+}
+
+// op is one compiled evaluation: val[dst] = f(val[a], val[b], val[c])
+// for a gate, with the fan-ins of the netlist node (a = lo, b = hi,
+// c = select for a mux). In a kRAMOut run, a is the RAM index and the
+// other fields are unused.
+type op struct{ dst, a, b, c int32 }
+
+// opRun is a stretch prog[lo:hi] of ops of one kind, all on one level.
+type opRun struct {
+	k      kind
+	lo, hi int32
+}
+
+// dffOp is one flip-flop's clock-edge update: q takes d where en is
+// set, then init where rst is set.
+type dffOp struct {
+	q, d, en, rst int32
+	init          uint64
 }
 
 // laneMask broadcasts a bool to all 64 lanes.
@@ -56,81 +73,171 @@ func laneBit(lane int) uint64 {
 
 // Compile levelizes the circuit and returns a simulator. It fails if
 // the combinational logic contains a cycle.
+//
+// The simulator runs a flat program rather than walking the netlist.
+// Every node gets a level, the longest combinational path to it from a
+// source (constant, input or flip-flop, all level 0), and a RAM gets
+// the level of its read outputs, one past its deepest address bit.
+// The program lists the gates and RAM reads level by level, and within
+// a level groups them by kind, so settle runs one tight loop per
+// stretch of same-kind ops. Nodes of one level never read each other,
+// so the grouping cannot change any value.
 func (c *Circuit) Compile() (*Sim, error) {
 	n := len(c.kinds)
-	adj := make([][]int32, n) // combinational dependency edges: fanin -> node
-	indeg := make([]int, n)
-
-	addEdge := func(from Signal, to int) {
-		adj[from] = append(adj[from], int32(to))
-		indeg[to]++
-	}
-	for i := 0; i < n; i++ {
+	// Fan-out edges in compressed rows: the consumers of node v are
+	// succ[first[v]:first[v+1]].
+	first := make([]int32, n+1)
+	eachFanin := func(i int, f func(Signal)) {
 		switch c.kinds[i] {
 		case kNot:
-			addEdge(c.fa[i], i)
+			f(c.fa[i])
 		case kAnd, kOr, kXor:
-			addEdge(c.fa[i], i)
-			addEdge(c.fb[i], i)
+			f(c.fa[i])
+			f(c.fb[i])
 		case kMux:
-			addEdge(c.fa[i], i)
-			addEdge(c.fb[i], i)
-			addEdge(c.fc[i], i)
+			f(c.fa[i])
+			f(c.fb[i])
+			f(c.fc[i])
 		case kRAMOut:
 			for _, a := range c.rams[c.ramIdx[i]].addr {
-				addEdge(a, i)
+				f(a)
 			}
 		case kConst, kInput, kDFF:
 			// Sources for combinational evaluation.
 		}
 	}
-	order := make([]Signal, 0, n)
+	indeg := make([]int32, n)
+	for i := 0; i < n; i++ {
+		eachFanin(i, func(a Signal) {
+			first[a+1]++
+			indeg[i]++
+		})
+	}
+	for v := 0; v < n; v++ {
+		first[v+1] += first[v]
+	}
+	succ := make([]int32, first[n])
+	fill := append([]int32(nil), first[:n]...)
+	for i := 0; i < n; i++ {
+		eachFanin(i, func(a Signal) {
+			succ[fill[a]] = int32(i)
+			fill[a]++
+		})
+	}
+	// Kahn's algorithm, relaxing each consumer's level as it goes.
+	level := make([]int32, n)
 	queue := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			queue = append(queue, int32(i))
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, Signal(v))
-		for _, w := range adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
+	maxLevel := int32(0)
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, w := range succ[first[v]:first[v+1]] {
+			if level[v]+1 > level[w] {
+				level[w] = level[v] + 1
+			}
+			if indeg[w]--; indeg[w] == 0 {
 				queue = append(queue, w)
 			}
 		}
+		if level[v] > maxLevel {
+			maxLevel = level[v]
+		}
 	}
-	if len(order) != n {
-		return nil, fmt.Errorf("logic: combinational cycle among %d nodes", n-len(order))
+	if len(queue) != n {
+		return nil, fmt.Errorf("logic: combinational cycle among %d nodes", n-len(queue))
 	}
+	ramLevel := make([]int32, len(c.rams))
+	for ri, r := range c.rams {
+		for _, a := range r.addr {
+			if level[a]+1 > ramLevel[ri] {
+				ramLevel[ri] = level[a] + 1
+			}
+		}
+		if ramLevel[ri] > maxLevel {
+			maxLevel = ramLevel[ri]
+		}
+	}
+
+	// Bucket sort the gates and RAM reads by (level, kind), keeping
+	// index order within a bucket: bucket b fills prog[start[b]:start[b+1]].
+	slot := func(lv int32, k kind) int { return int(lv)*int(kNumKinds) + int(k) }
+	start := make([]int32, (int(maxLevel)+1)*int(kNumKinds)+1)
+	for i, k := range c.kinds {
+		if isGate(k) {
+			start[slot(level[i], k)+1]++
+		}
+	}
+	for ri := range c.rams {
+		start[slot(ramLevel[ri], kRAMOut)+1]++
+	}
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	prog := make([]op, start[len(start)-1])
+	next := append([]int32(nil), start...)
+	for i, k := range c.kinds {
+		if isGate(k) {
+			b := slot(level[i], k)
+			prog[next[b]] = op{dst: int32(i), a: int32(c.fa[i]), b: int32(c.fb[i]), c: int32(c.fc[i])}
+			next[b]++
+		}
+	}
+	for ri := range c.rams {
+		b := slot(ramLevel[ri], kRAMOut)
+		prog[next[b]] = op{a: int32(ri)}
+		next[b]++
+	}
+	var runs []opRun
+	for b := 0; b+1 < len(start); b++ {
+		if start[b] < start[b+1] {
+			runs = append(runs, opRun{k: kind(b % int(kNumKinds)), lo: start[b], hi: start[b+1]})
+		}
+	}
+
 	s := &Sim{
-		c:        c,
-		val:      make([]uint64, n),
-		state:    make([]uint64, n),
-		initMask: make([]uint64, n),
-		order:    order,
-		dirty:    true,
+		c:     c,
+		val:   make([]uint64, n),
+		state: make([]uint64, n),
+		prog:  prog,
+		runs:  runs,
+		dirty: true,
 	}
+	// The constants never change, and inputs keep the value Set gives
+	// them, so neither appears in the program.
+	s.val[Const1] = ^uint64(0)
 	for i, k := range c.kinds {
 		if k == kDFF {
 			s.dffs = append(s.dffs, int32(i))
+			init := laneMask(c.dffInit[Signal(i)])
+			s.commit = append(s.commit, dffOp{
+				q: int32(i), d: int32(c.fa[i]), en: int32(c.fb[i]), rst: int32(c.fc[i]), init: init,
+			})
+			s.state[i] = init
 		}
-	}
-	for sig, init := range c.dffInit {
-		s.initMask[sig] = laneMask(init)
-		s.state[sig] = s.initMask[sig]
 	}
 	s.mems = make([][]uint64, len(c.rams))
 	s.dec = make([][]uint64, len(c.rams))
-	s.decOK = make([]bool, len(c.rams))
+	s.acc = make([][]uint64, len(c.rams))
 	for i, r := range c.rams {
 		s.mems[i] = make([]uint64, r.words*r.width)
 		s.dec[i] = make([]uint64, r.words)
+		s.acc[i] = make([]uint64, r.width)
 	}
 	c.compiled = true
 	return s, nil
+}
+
+// isGate reports whether a node kind is a combinational gate.
+func isGate(k kind) bool {
+	switch k {
+	case kNot, kAnd, kOr, kXor, kMux:
+		return true
+	}
+	return false
 }
 
 // MustCompile is Compile that panics on error, for hand-built circuits
@@ -199,81 +306,102 @@ func (s *Sim) SetBusLane(b Bus, lane int, v uint64) {
 	}
 }
 
-// settle evaluates all combinational logic in levelized order, all 64
-// lanes per operation.
+// settle evaluates all combinational logic, all 64 lanes per
+// operation: it loads the flip-flop outputs, then runs the compiled
+// program one single-kind stretch at a time.
 //
 //leo:hotpath
 func (s *Sim) settle() {
 	if !s.dirty {
 		return
 	}
-	for i := range s.decOK {
-		s.decOK[i] = false
+	val := s.val
+	for _, i := range s.dffs {
+		val[i] = s.state[i]
 	}
-	c := s.c
-	for _, sig := range s.order {
-		i := int(sig)
-		switch c.kinds[i] {
-		case kConst:
-			s.val[i] = laneMask(sig == Const1)
-		case kInput:
-			// retained from Set
-		case kDFF:
-			s.val[i] = s.state[i]
+	for _, r := range s.runs {
+		ops := s.prog[r.lo:r.hi]
+		switch r.k {
 		case kNot:
-			s.val[i] = ^s.val[c.fa[i]]
+			for _, o := range ops {
+				val[o.dst] = ^val[o.a]
+			}
 		case kAnd:
-			s.val[i] = s.val[c.fa[i]] & s.val[c.fb[i]]
+			for _, o := range ops {
+				val[o.dst] = val[o.a] & val[o.b]
+			}
 		case kOr:
-			s.val[i] = s.val[c.fa[i]] | s.val[c.fb[i]]
+			for _, o := range ops {
+				val[o.dst] = val[o.a] | val[o.b]
+			}
 		case kXor:
-			s.val[i] = s.val[c.fa[i]] ^ s.val[c.fb[i]]
+			for _, o := range ops {
+				val[o.dst] = val[o.a] ^ val[o.b]
+			}
 		case kMux:
-			sel := s.val[c.fc[i]]
-			s.val[i] = s.val[c.fb[i]]&sel | s.val[c.fa[i]]&^sel
+			for _, o := range ops {
+				sel := val[o.c]
+				val[o.dst] = val[o.b]&sel | val[o.a]&^sel
+			}
 		case kRAMOut:
-			ri := int(c.ramIdx[i])
-			if !s.decOK[ri] {
-				s.ramDecode(ri)
+			for _, o := range ops {
+				s.ramRead(int(o.a))
 			}
-			r := c.rams[ri]
-			dec := s.dec[ri]
-			mem := s.mems[ri]
-			bit := int(c.ramBit[i])
-			var v uint64
-			for w := 0; w < r.words; w++ {
-				v |= dec[w] & mem[w*r.width+bit]
-			}
-			s.val[i] = v
 		}
 	}
 	s.dirty = false
 }
 
+// ramRead settles one RAM's read outputs: it decodes the address, then
+// one pass over the words ORs every addressed row into a per-bit
+// accumulator, skipping the words no lane addresses, and scatters the
+// accumulator into the output nodes.
+//
+//leo:hotpath
+func (s *Sim) ramRead(ri int) {
+	s.ramDecode(ri)
+	acc := s.acc[ri]
+	clear(acc)
+	width := len(acc)
+	mem := s.mems[ri]
+	for w, d := range s.dec[ri] {
+		if d == 0 {
+			continue
+		}
+		row := mem[w*width : w*width+width]
+		for b, x := range row {
+			acc[b] |= d & x
+		}
+	}
+	for b, o := range s.c.rams[ri].out {
+		s.val[o] = acc[b]
+	}
+}
+
 // ramDecode rebuilds the per-word lane address-decode masks of one
-// RAM: dec[w] has a lane bit set exactly when that lane's settled
-// address equals w. A lane addressing past the last word matches no
-// mask, so it reads zero and its writes are dropped — the same
-// out-of-range semantics as a one-lane simulator. The masks are
-// shared by every data bit of the RAM, for reads during settle and
-// writes at the clock edge.
+// RAM from the current address values: dec[w] has a lane bit set
+// exactly when that lane's address equals w. A lane addressing past
+// the last word matches no mask, so it reads zero and its writes are
+// dropped — the same out-of-range semantics as
+// a one-lane simulator. The masks are shared by every data bit of the
+// RAM, for reads during settle and writes at the clock edge. Each
+// address bit splits every mask decoded so far in two, so a decode
+// costs about two word ops per word.
 //
 //leo:hotpath
 func (s *Sim) ramDecode(ri int) {
-	r := s.c.rams[ri]
 	dec := s.dec[ri]
-	for w := range dec {
-		m := ^uint64(0)
-		for bi, a := range r.addr {
-			if uint(w)>>uint(bi)&1 != 0 {
-				m &= s.val[a]
-			} else {
-				m &^= s.val[a]
+	dec[0] = ^uint64(0)
+	for bi, a := range s.c.rams[ri].addr {
+		v := s.val[a]
+		half := 1 << uint(bi)
+		for w := 0; w < half && w < len(dec); w++ {
+			if hi := w + half; hi < len(dec) {
+				dec[hi] = dec[w] & v
 			}
+			dec[w] &^= v
 		}
-		dec[w] = m
 	}
-	s.decOK[ri] = true
 }
 
 // Get returns the settled value of any signal on lane 0.
@@ -343,27 +471,23 @@ func (s *Sim) OutLane(name string, lane int) bool {
 //leo:hotpath
 func (s *Sim) Step() {
 	s.settle()
-	c := s.c
+	val, state := s.val, s.state
 	// DFF commit, per-lane: enable loads the input, sync reset wins
 	// over enable, untouched lanes hold state.
-	for _, di := range s.dffs {
-		i := int(di)
-		en := s.val[c.fb[i]]
-		rst := s.val[c.fc[i]]
-		st := s.state[i]
-		st = st&^en | s.val[c.fa[i]]&en
-		st = st&^rst | s.initMask[i]&rst
-		s.state[i] = st
+	for _, f := range s.commit {
+		en := val[f.en]
+		rst := val[f.rst]
+		st := state[f.q]
+		st = st&^en | val[f.d]&en
+		st = st&^rst | f.init&rst
+		state[f.q] = st
 	}
-	// RAM writes use the pre-edge (settled) address and data; the
-	// decode masks from settle are still valid here.
-	for ri, r := range c.rams {
-		we := s.val[r.we]
+	// RAM writes use the pre-edge (settled) address and data; settle
+	// left every RAM's decode masks matching that address.
+	for ri, r := range s.c.rams {
+		we := val[r.we]
 		if we == 0 {
 			continue
-		}
-		if !s.decOK[ri] {
-			s.ramDecode(ri)
 		}
 		dec := s.dec[ri]
 		mem := s.mems[ri]
@@ -374,7 +498,7 @@ func (s *Sim) Step() {
 			}
 			base := w * r.width
 			for bit, d := range r.din {
-				mem[base+bit] = mem[base+bit]&^m | s.val[d]&m
+				mem[base+bit] = mem[base+bit]&^m | val[d]&m
 			}
 		}
 	}
@@ -533,8 +657,7 @@ func (c *Circuit) Stats() Stats {
 	st := Stats{ByKind: map[string]int{}}
 	st.Inputs = len(c.inputs)
 	st.Outputs = len(c.outputs)
-	for i, k := range c.kinds {
-		_ = i
+	for _, k := range c.kinds {
 		st.ByKind[k.String()]++
 		switch k {
 		case kNot, kAnd, kOr:
@@ -555,14 +678,9 @@ func (c *Circuit) Stats() Stats {
 	return st
 }
 
-// String renders the statistics compactly with kinds sorted.
+// String renders the gate, flip-flop, RAM-bit and gate-equivalent
+// counts on one line; the per-kind breakdown is left to ByKind.
 func (st Stats) String() string {
-	kinds := make([]string, 0, len(st.ByKind))
-	for k := range st.ByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	out := fmt.Sprintf("gates=%d dffs=%d rambits=%d gate-equivalents=%d",
+	return fmt.Sprintf("gates=%d dffs=%d rambits=%d gate-equivalents=%d",
 		st.Gates, st.DFFs, st.RAMBits, st.GateEquivalents)
-	return out
 }
