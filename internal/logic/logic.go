@@ -39,8 +39,6 @@ const (
 	kMux // fc ? fb : fa
 	kDFF // fa = D, fb = enable, fc = sync reset
 	kRAMOut
-
-	kNumKinds // number of kinds; Compile sizes its (level, kind) buckets by it
 )
 
 func (k kind) String() string {

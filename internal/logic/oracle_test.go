@@ -8,14 +8,18 @@ import (
 
 // refSim is the interpretive simulator the compiled program replaced,
 // kept as the oracle for it: it walks the nodes in topological order
-// and switches on each node's kind, and it decodes every RAM address
-// bit by bit on every settle. It borrows the values, flip-flop state
-// and RAM contents of a Sim that is never settled by its own program.
+// and switches on each node's kind, decodes every RAM address bit by
+// bit on every settle, and commits the flip-flops one by one. It uses
+// none of Compile's folding, literals, groups or incremental reads:
+// it borrows only the node slots (a flip-flop's slot holds its state)
+// and RAM contents of a Sim that is never settled by its own program,
+// and gives every node its own value.
 type refSim struct {
 	s     *Sim
 	order []Signal
 	dec   [][]uint64
 	decOK []bool
+	next  []uint64 // per flip-flop, in dffs order: its state after the edge
 }
 
 // newRefSim wraps s, ordering the nodes by Kahn's algorithm the way the
@@ -46,7 +50,12 @@ func newRefSim(s *Sim) *refSim {
 			}
 		}
 	}
-	r := &refSim{s: s, dec: make([][]uint64, len(c.rams)), decOK: make([]bool, len(c.rams))}
+	r := &refSim{
+		s:     s,
+		dec:   make([][]uint64, len(c.rams)),
+		decOK: make([]bool, len(c.rams)),
+		next:  make([]uint64, len(s.dffs)),
+	}
 	queue := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
@@ -85,7 +94,7 @@ func (r *refSim) settleReference() {
 		case kInput:
 			// retained from Set
 		case kDFF:
-			s.val[i] = s.state[i]
+			// the slot holds the state
 		case kNot:
 			s.val[i] = ^s.val[c.fa[i]]
 		case kAnd:
@@ -106,7 +115,7 @@ func (r *refSim) settleReference() {
 			bit := int(c.ramBit[i])
 			var v uint64
 			for w := 0; w < ram.words; w++ {
-				v |= r.dec[ri][w] & s.mems[ri][w*ram.width+bit]
+				v |= r.dec[ri][w] & s.rams[ri].mem[w*ram.width+bit]
 			}
 			s.val[i] = v
 		}
@@ -131,18 +140,18 @@ func (r *refSim) ramDecode(ri int) {
 	r.decOK[ri] = true
 }
 
-// stepReference is one clock cycle of the interpretive simulator.
+// stepReference is one clock cycle of the interpretive simulator. The
+// flip-flops take their next states only after the RAM writes, which
+// may read flip-flop outputs as data or write enable.
 func (r *refSim) stepReference() {
 	r.settleReference()
 	s, c := r.s, r.s.c
-	for _, di := range s.dffs {
+	for j, di := range s.dffs {
 		i := int(di)
 		en := s.val[c.fb[i]]
 		rst := s.val[c.fc[i]]
-		st := s.state[i]
-		st = st&^en | s.val[c.fa[i]]&en
-		st = st&^rst | laneMask(c.dffInit[Signal(i)])&rst
-		s.state[i] = st
+		st := s.val[i]&^en | s.val[c.fa[i]]&en
+		r.next[j] = st&^rst | laneMask(c.dffInit[Signal(i)])&rst
 	}
 	for ri, ram := range c.rams {
 		we := s.val[ram.we]
@@ -152,6 +161,7 @@ func (r *refSim) stepReference() {
 		if !r.decOK[ri] {
 			r.ramDecode(ri)
 		}
+		mem := s.rams[ri].mem
 		for w := 0; w < ram.words; w++ {
 			m := r.dec[ri][w] & we
 			if m == 0 {
@@ -159,9 +169,12 @@ func (r *refSim) stepReference() {
 			}
 			base := w * ram.width
 			for bit, d := range ram.din {
-				s.mems[ri][base+bit] = s.mems[ri][base+bit]&^m | s.val[d]&m
+				mem[base+bit] = mem[base+bit]&^m | s.val[d]&m
 			}
 		}
+	}
+	for j, di := range s.dffs {
+		s.val[di] = r.next[j]
 	}
 	s.cycles++
 }
@@ -204,7 +217,8 @@ func (o *OracleTwin) Step() {
 }
 
 // Check settles both simulators and compares every node's lane vector,
-// every flip-flop's state and every RAM bit.
+// read through its alias on the compiled side (flip-flop states
+// included, as their slots hold them), and every RAM bit.
 func (o *OracleTwin) Check() error {
 	o.Sim.settle()
 	o.ref.settleReference()
@@ -212,20 +226,15 @@ func (o *OracleTwin) Check() error {
 	if a.cycles != b.cycles {
 		return fmt.Errorf("cycles %d, oracle %d", a.cycles, b.cycles)
 	}
-	for i := range a.val {
-		if a.val[i] != b.val[i] {
-			return fmt.Errorf("node %d (%v) = %#x, oracle %#x", i, a.c.kinds[i], a.val[i], b.val[i])
+	for i := range a.alias {
+		if got, want := a.read(a.alias[i]), b.val[i]; got != want {
+			return fmt.Errorf("node %d (%v) = %#x, oracle %#x", i, a.c.kinds[i], got, want)
 		}
 	}
-	for _, i := range a.dffs {
-		if a.state[i] != b.state[i] {
-			return fmt.Errorf("flip-flop %d state %#x, oracle %#x", i, a.state[i], b.state[i])
-		}
-	}
-	for ri := range a.mems {
-		for k := range a.mems[ri] {
-			if a.mems[ri][k] != b.mems[ri][k] {
-				return fmt.Errorf("RAM %d bit vector %d = %#x, oracle %#x", ri, k, a.mems[ri][k], b.mems[ri][k])
+	for ri := range a.rams {
+		for k, got := range a.rams[ri].mem {
+			if want := b.rams[ri].mem[k]; got != want {
+				return fmt.Errorf("RAM %d bit vector %d = %#x, oracle %#x", ri, k, got, want)
 			}
 		}
 	}
@@ -241,26 +250,62 @@ func (o *OracleTwin) DFFs() []Signal {
 	return out
 }
 
+// Netlist shapes randomNetlist can add, one bit each, so that the seed
+// corpus holds an entry aimed at each rewrite Compile makes.
+const (
+	shapeNotChains  = 1 << iota // chains of NOTs
+	shapeDuplicates             // gates repeating an earlier gate's fan-ins, with its kind or another
+	shapeConstNot               // constant fan-ins, and NOTs into every mux, flip-flop and RAM input
+	shapeSharedCtl              // flip-flops sharing an enable or reset, plain or inverted
+	shapeDFFLinks               // flip-flop outputs as flip-flop data, with a two-flop swap
+	shapeDFFToRAM               // flip-flop outputs as RAM data and write enable
+	shapeAll        = 1<<iota - 1
+)
+
 // randomNetlist builds an acyclic netlist from rng: inputs, feedback
 // flip-flops wired to arbitrary nodes, and gates and RAMs whose fan-ins
 // are any earlier node, constants included. RAM word counts are not
 // always powers of two, so some addresses fall past the last word, and
 // write enables and data come from the same logic the read addresses
-// do, so reads and writes of one RAM share clock edges.
-func randomNetlist(rng *rand.Rand, gates int) (*Circuit, []Signal) {
+// do, so reads and writes of one RAM share clock edges. The shape bits
+// add the structures Compile folds, groups and orders.
+func randomNetlist(rng *rand.Rand, gates int, shape uint8) (*Circuit, []Signal) {
 	c := New()
+	has := func(bit uint8) bool { return shape&bit != 0 }
 	pick := func() Signal { return Signal(rng.IntN(len(c.kinds))) }
+	fanin := func() Signal {
+		if has(shapeConstNot) {
+			switch rng.IntN(6) {
+			case 0:
+				return Signal(rng.IntN(2))
+			case 1:
+				return c.node(kNot, pick(), 0, 0)
+			}
+		}
+		return pick()
+	}
 	var ins []Signal
 	for i := 0; i < 1+rng.IntN(5); i++ {
 		ins = append(ins, c.Input(fmt.Sprintf("in%d", i)))
 	}
+	nDFF := rng.IntN(6)
+	if has(shapeSharedCtl | shapeDFFLinks | shapeDFFToRAM) {
+		nDFF = 2 + rng.IntN(5)
+	}
 	var dffs []Signal
-	for i := 0; i < rng.IntN(6); i++ {
+	for i := 0; i < nDFF; i++ {
 		dffs = append(dffs, c.FeedbackDFF(pick(), pick(), rng.IntN(2) == 0))
+	}
+	fromDFF := func(f func() Signal) Signal {
+		if has(shapeDFFToRAM) && rng.IntN(2) == 0 {
+			return dffs[rng.IntN(len(dffs))]
+		}
+		return f()
 	}
 	nRAM := 0
 	for g := 0; g < gates; g++ {
-		if rng.IntN(8) == 0 {
+		switch {
+		case rng.IntN(8) == 0:
 			words := 1 + rng.IntN(9)
 			bits := 1
 			for w := words - 1; w > 1; w >>= 1 {
@@ -268,22 +313,64 @@ func randomNetlist(rng *rand.Rand, gates int) (*Circuit, []Signal) {
 			}
 			addr := make(Bus, bits)
 			for i := range addr {
-				addr[i] = pick()
+				addr[i] = fanin()
 			}
 			din := make(Bus, 1+rng.IntN(4))
 			for i := range din {
-				din[i] = pick()
+				din[i] = fromDFF(fanin)
 			}
-			c.RAM(fmt.Sprintf("m%d", nRAM), words, addr, din, pick())
+			c.RAM(fmt.Sprintf("m%d", nRAM), words, addr, din, fromDFF(fanin))
 			nRAM++
-			continue
+		case has(shapeNotChains) && rng.IntN(6) == 0:
+			x := pick()
+			for n := 1 + rng.IntN(4); n > 0; n-- {
+				x = c.node(kNot, x, 0, 0)
+			}
+		case has(shapeDuplicates) && rng.IntN(4) == 0:
+			// Repeat an earlier gate, or give its fan-ins a gate of
+			// another kind, which only the kind tells apart.
+			v := pick()
+			if k := c.kinds[v]; k >= kNot && k <= kMux {
+				a, b := c.fa[v], c.fb[v]
+				if k != kMux && rng.IntN(2) == 0 {
+					a, b = b, a
+				}
+				if rng.IntN(2) == 0 {
+					k = kNot + kind(rng.IntN(int(kMux-kNot)+1))
+				}
+				c.node(k, a, b, c.fc[v])
+			}
+		default:
+			k := kNot + kind(rng.IntN(int(kMux-kNot)+1))
+			c.node(k, fanin(), fanin(), fanin())
 		}
-		k := kNot + kind(rng.IntN(int(kMux-kNot)+1))
-		c.node(k, pick(), pick(), pick())
 	}
-	for _, d := range dffs {
-		c.ConnectD(d, pick())
-		c.ConnectEnable(d, pick())
+	for j, d := range dffs {
+		c.ConnectD(d, fanin())
+		c.ConnectEnable(d, fanin())
+		if rng.IntN(3) == 0 {
+			c.fc[d] = fanin()
+		}
+		if has(shapeSharedCtl) && j > 0 && rng.IntN(3) != 0 {
+			p := dffs[rng.IntN(j)]
+			en, rst := c.fb[p], c.fc[p]
+			if rng.IntN(3) == 0 {
+				en = c.node(kNot, en, 0, 0)
+			}
+			c.ConnectEnable(d, en)
+			if rng.IntN(2) == 0 {
+				c.fc[d] = rst
+			}
+		}
+	}
+	if has(shapeDFFLinks) {
+		c.ConnectD(dffs[0], dffs[1])
+		c.ConnectD(dffs[1], dffs[0])
+		for j := 2; j < len(dffs); j++ {
+			if rng.IntN(2) == 0 {
+				c.ConnectD(dffs[j], dffs[rng.IntN(j)])
+			}
+		}
 	}
 	return c, ins
 }
@@ -294,11 +381,15 @@ func randomNetlist(rng *rand.Rand, gates int) (*Circuit, []Signal) {
 // oracle after every action and every clock cycle.
 func FuzzSettleMatchesOracle(f *testing.F) {
 	for seed := uint64(0); seed < 16; seed++ {
-		f.Add(seed, uint8(8+seed*4), uint8(40))
+		f.Add(seed, uint8(8+seed*4), uint8(40), uint8(shapeAll))
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, gates, cycles uint8) {
-		rng := rand.New(rand.NewPCG(seed, uint64(gates)<<8|uint64(cycles)))
-		c, ins := randomNetlist(rng, int(gates))
+	for bit := uint8(1); bit < shapeAll; bit <<= 1 {
+		f.Add(uint64(100+bit), uint8(48), uint8(60), bit)
+	}
+	f.Add(uint64(99), uint8(48), uint8(60), uint8(0))
+	f.Fuzz(func(t *testing.T, seed uint64, gates, cycles, shape uint8) {
+		rng := rand.New(rand.NewPCG(seed, uint64(gates)<<16|uint64(cycles)<<8|uint64(shape)))
+		c, ins := randomNetlist(rng, int(gates), shape)
 		o, err := NewOracleTwin(c)
 		if err != nil {
 			t.Fatal(err)

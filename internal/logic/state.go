@@ -84,11 +84,11 @@ func (s *Sim) SnapshotState() SimState {
 	}
 	st.DFFs = make([]uint64, len(s.dffs))
 	for j, i := range s.dffs {
-		st.DFFs[j] = s.state[i]
+		st.DFFs[j] = s.val[i]
 	}
-	st.RAMs = make([][]uint64, len(s.mems))
-	for ri, mem := range s.mems {
-		st.RAMs[ri] = append([]uint64(nil), mem...)
+	st.RAMs = make([][]uint64, len(s.rams))
+	for ri, r := range s.rams {
+		st.RAMs[ri] = append([]uint64(nil), r.mem...)
 	}
 	return st
 }
@@ -105,13 +105,13 @@ func (s *Sim) RestoreState(st SimState) error {
 	if len(st.DFFs) != len(s.dffs) {
 		return fmt.Errorf("logic: snapshot has %d flip-flops, circuit has %d", len(st.DFFs), len(s.dffs))
 	}
-	if len(st.RAMs) != len(s.mems) {
-		return fmt.Errorf("logic: snapshot has %d RAMs, circuit has %d", len(st.RAMs), len(s.mems))
+	if len(st.RAMs) != len(s.rams) {
+		return fmt.Errorf("logic: snapshot has %d RAMs, circuit has %d", len(st.RAMs), len(s.rams))
 	}
 	for ri, mem := range st.RAMs {
-		if len(mem) != len(s.mems[ri]) {
+		if len(mem) != len(s.rams[ri].mem) {
 			return fmt.Errorf("logic: snapshot RAM %d has %d bit vectors, circuit has %d",
-				ri, len(mem), len(s.mems[ri]))
+				ri, len(mem), len(s.rams[ri].mem))
 		}
 	}
 	s.cycles = st.Cycles
@@ -119,10 +119,11 @@ func (s *Sim) RestoreState(st SimState) error {
 		s.val[i] = st.Inputs[j]
 	}
 	for j, i := range s.dffs {
-		s.state[i] = st.DFFs[j]
+		s.val[i] = st.DFFs[j]
 	}
 	for ri, mem := range st.RAMs {
-		copy(s.mems[ri], mem)
+		copy(s.rams[ri].mem, mem)
+		s.rams[ri].stale = ^uint64(0)
 	}
 	s.dirty = true
 	return nil

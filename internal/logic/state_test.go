@@ -42,13 +42,13 @@ func TestSimStateRoundTrip(t *testing.T) {
 		b.Step()
 	}
 	for j := range a.dffs {
-		if a.state[a.dffs[j]] != b.state[b.dffs[j]] {
+		if a.val[a.dffs[j]] != b.val[b.dffs[j]] {
 			t.Fatalf("DFF %d diverged", j)
 		}
 	}
-	for ri := range a.mems {
-		for k := range a.mems[ri] {
-			if a.mems[ri][k] != b.mems[ri][k] {
+	for ri := range a.rams {
+		for k := range a.rams[ri].mem {
+			if a.rams[ri].mem[k] != b.rams[ri].mem[k] {
 				t.Fatalf("RAM %d bit vector %d diverged", ri, k)
 			}
 		}
